@@ -1,16 +1,22 @@
-// StreamingSession: the Sperke client (Figure 4), wired for on-demand 360°
-// streaming over a simulated network.
+// StreamingSession: the Sperke client (Figure 4) — the one tile-session
+// core for on-demand and live 360° streaming over a simulated network.
 //
 // Responsibilities per the figure:
 //   * head sensor sampling -> HMP fusion (hmp/fusion.h),
 //   * fetch scheduling driven by the pluggable tile-ABR policy
 //     (abr/policy.h; the paper's VRA is abr/sperke_vra.h behind it),
 //   * the encoded-chunk cache (core/buffer.h),
-//   * playback with stall semantics and QoE accounting (abr/qoe.h),
+//   * playback and QoE accounting (abr/qoe.h),
 //   * runtime incremental upgrades of mispredicted tiles (§3.1.1).
 //
-// Head orientation is indexed by *content time* (as in public head-trace
-// datasets): a stall freezes both the playhead and the sensor stream.
+// What differs between on-demand and live playback — content time,
+// deadlines, when a chunk may be planned, what happens at a missed
+// deadline, the probability prior — is the session's PlaybackClock
+// (core/playback_clock.h). The session type the caller constructs decides
+// it: a StreamingSession built with a crowd heatmap plays on-demand with
+// its own clock, where head orientation is indexed by *content time* (as
+// in public head-trace datasets) and a stall freezes both the playhead and
+// the sensor stream; live::TiledLiveSession is the live clock.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +31,7 @@
 #include "abr/factory.h"
 #include "abr/qoe.h"
 #include "core/buffer.h"
+#include "core/playback_clock.h"
 #include "core/session_batch.h"
 #include "core/transport.h"
 #include "hmp/fusion.h"
@@ -89,6 +96,7 @@ struct SessionReport {
 
 class StreamingSession {
  public:
+  // An on-demand session, played by the session's own clock.
   // `transport` and `head_trace` must outlive the session. `crowd` (may be
   // null) provides the cross-user prior for HMP fusion. `batch` (may be
   // null) is the shared SoA arena the session claims a slot in — its hot
@@ -101,6 +109,12 @@ class StreamingSession {
                    SessionConfig config,
                    const hmp::ViewingHeatmap* crowd = nullptr,
                    SessionBatch* batch = nullptr);
+  // A session played by `clock` (not owned; must outlive the session; its
+  // blend_prior supplies any crowd prior), with a private batch.
+  StreamingSession(sim::Simulator& simulator,
+                   std::shared_ptr<const media::VideoModel> video,
+                   ChunkTransport& transport, const hmp::HeadTrace& head_trace,
+                   SessionConfig config, PlaybackClock& clock);
 
   // Schedule the session's activity; drive with simulator.run()/run_until().
   void start();
@@ -111,19 +125,24 @@ class StreamingSession {
   [[nodiscard]] const PlaybackBuffer& buffer() const { return buffer_; }
 
  private:
-  [[nodiscard]] sim::Time media_now() const;
-  [[nodiscard]] sim::Time deadline_of(media::ChunkIndex index) const;
+  friend class PlaybackClock;
+  class VodClock;  // the on-demand clock (core/session.cpp)
+
+  StreamingSession(sim::Simulator& simulator,
+                   std::shared_ptr<const media::VideoModel> video,
+                   ChunkTransport& transport, const hmp::HeadTrace& head_trace,
+                   SessionConfig config, const hmp::ViewingHeatmap* crowd,
+                   SessionBatch* batch, std::unique_ptr<PlaybackClock> own_clock,
+                   PlaybackClock* clock);
 
   void observe_head();
-  void maybe_plan();
+  void plan_next();
   void record_trace(const obs::TraceEvent& event);
   void dispatch(const media::ChunkAddress& address, abr::SpatialClass spatial,
                 sim::Time deadline, bool count_as_upgrade, bool count_as_correction,
                 std::int64_t parent_request_id = 0);
   void on_fetch_done(const media::ChunkAddress& address, std::int64_t bytes);
-  void attempt_start();
-  void play_chunk();
-  void try_resume_from_stall();
+  void play_chunk(media::ChunkIndex index);
   void scan_upgrades();
   void finish();
 
@@ -148,18 +167,16 @@ class StreamingSession {
   PlaybackBuffer buffer_;
   std::unique_ptr<abr::TileAbrPolicy> policy_;
   abr::QoeTracker qoe_;
+  // The on-demand clock when the session made its own; null otherwise.
+  std::unique_ptr<PlaybackClock> own_clock_;
+  PlaybackClock& clock_;
 
-  // Playback state.
+  // Session state; playback position is the clock's.
   bool started_ = false;
-  bool playing_ = false;
-  bool stalled_ = false;
   bool finished_ = false;
-  media::ChunkIndex current_chunk_ = 0;     // chunk being (or next to be) played
-  sim::Time chunk_play_started_{sim::kTimeZero};
-  sim::Time stall_started_{sim::kTimeZero};
   sim::Time session_started_{sim::kTimeZero};
   sim::Time session_ended_{sim::kTimeZero};
-  sim::Time startup_done_{sim::kTimeZero};
+  sim::Time startup_done_{sim::kTimeZero};  // first chunk shown (on-demand)
 
   // Planning state, viewed through batch slot spans: planned quality per
   // chunk (-1 = not yet planned; qualities are never negative) and one
@@ -217,15 +234,16 @@ class StreamingSession {
 
   // Reusable hot-path buffers (DESIGN.md §8). The simulator is
   // single-threaded and the transport never completes a fetch synchronously,
-  // so no two live uses of the same buffer ever overlap: maybe_plan owns
-  // the fov/probs/plan set, attempt_start/play_chunk/scan_upgrades own the
-  // visible/missing/is_visible set, and each finishes with its buffers
-  // before anything that reuses them can run.
+  // so no two live uses of the same buffer ever overlap: plan_next owns
+  // the fov/probs/plan set, the clock's startup check, play_chunk and
+  // scan_upgrades own the visible/shown/missing/is_visible set, and each
+  // finishes with its buffers before anything that reuses them can run.
   geo::TileGeometry::Scratch geo_scratch_;
   std::vector<geo::TileId> visible_scratch_;
   std::vector<geo::TileId> motion_fov_scratch_;
   std::vector<geo::TileId> fov_scratch_;
   std::span<double> probs_;  // batch probability slot (HMP fusion output)
+  std::vector<geo::TileId> shown_scratch_;
   std::vector<geo::TileId> missing_scratch_;
   std::vector<char> is_visible_scratch_;
   abr::ChunkPlan plan_scratch_;
