@@ -154,6 +154,7 @@ int main() {
     live::LiveCrowdHmp world_crowd(world_video->tile_count(),
                                    world_video->chunk_count());
     std::vector<std::unique_ptr<net::Link>> links;
+    std::vector<std::unique_ptr<net::LinkSource>> sources;
     std::vector<std::unique_ptr<core::SingleLinkTransport>> transports;
     std::vector<std::unique_ptr<hmp::HeadTrace>> traces;
     std::vector<std::unique_ptr<live::TiledLiveSession>> sessions;
@@ -163,8 +164,9 @@ int main() {
           simulator,
           net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(kbps),
                           .rtt = sim::milliseconds(30), .faults = {}}));
+      sources.push_back(std::make_unique<net::LinkSource>(*links.back()));
       transports.push_back(
-          std::make_unique<core::SingleLinkTransport>(*links.back(),
+          std::make_unique<core::SingleLinkTransport>(*sources.back(),
                                                       core::TransportOptions{.max_concurrent = 12, .recovery = {}}));
       traces.push_back(std::make_unique<hmp::HeadTrace>(standard_trace(seed)));
       live::TiledLiveConfig cfg;

@@ -142,7 +142,8 @@ VodRun run_vod(double outage_s, bool recovery) {
   core::TransportOptions options;
   options.recovery.enabled = recovery;
   options.telemetry = telemetry.get();
-  core::SingleLinkTransport transport(link, options);
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source, options);
   core::SessionConfig config;
   config.fetch_recovery = recovery;
   config.telemetry = telemetry.get();
@@ -180,7 +181,8 @@ live::TiledLiveReport run_live(double outage_s, bool recovery) {
   core::TransportOptions options;
   options.max_concurrent = 12;
   options.recovery.enabled = recovery;
-  core::SingleLinkTransport transport(link, options);
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source, options);
   live::TiledLiveConfig config;
   config.fetch_recovery = recovery;
   auto video = make_video(kLiveVideoSeconds);

@@ -74,8 +74,9 @@ inline core::SessionReport run_vod(const net::BandwidthTrace& bandwidth,
                                             .loss_rate = 0.0, .faults = {}});
   // HTTP/2-style multiplexing: fine tile grids issue hundreds of small
   // requests per chunk, which would otherwise serialize on the RTT.
+  net::LinkSource source(link);
   core::SingleLinkTransport transport(
-      link, {.max_concurrent = 16, .telemetry = telemetry, .recovery = {}});
+      source, {.max_concurrent = 16, .telemetry = telemetry, .recovery = {}});
   if (!video) video = standard_video();
   const auto trace = standard_trace(trace_seed);
   config.telemetry = telemetry;

@@ -6,7 +6,8 @@
 // This is the smallest end-to-end use of the public API:
 //   1. synthesize a tiled 360° video (media::VideoModel),
 //   2. synthesize a viewer's head movement (hmp::generate_head_trace),
-//   3. build a network link + transport (net::Link, core::SingleLinkTransport),
+//   3. build a network link + transport (net::Link, net::LinkSource,
+//      core::SingleLinkTransport),
 //   4. run the FoV-guided adaptive session (core::StreamingSession).
 #include <iostream>
 
@@ -45,7 +46,8 @@ int main() {
                                  .bandwidth = net::BandwidthTrace::random_walk(
                                      12'000.0, 0.3, 1.0, 300.0, 3),
                                  .rtt = sim::milliseconds(40), .faults = {}});
-  core::SingleLinkTransport transport(link, {.max_concurrent = 8, .recovery = {}});
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source, {.max_concurrent = 8, .recovery = {}});
 
   // 4. The session: FoV-guided, SVC incremental upgrades, LR head prediction.
   core::SessionConfig session_cfg;

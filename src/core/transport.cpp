@@ -21,17 +21,6 @@ void RecoveryMetrics::bind(obs::Telemetry& telemetry, const char* prefix) {
 SingleLinkTransport::SingleLinkTransport(net::ChunkSource& source,
                                          TransportOptions options)
     : source_(source), options_(std::move(options)) {
-  init();
-}
-
-SingleLinkTransport::SingleLinkTransport(net::Link& link, TransportOptions options)
-    : owned_source_(std::make_unique<net::LinkSource>(link)),
-      source_(*owned_source_),
-      options_(std::move(options)) {
-  init();
-}
-
-void SingleLinkTransport::init() {
   if (options_.max_concurrent < 1) {
     throw std::invalid_argument("SingleLinkTransport: max_concurrent < 1");
   }

@@ -18,7 +18,6 @@
 
 #include "abr/plan.h"
 #include "net/chunk_source.h"
-#include "net/link.h"
 #include "net/throughput_estimator.h"
 #include "obs/telemetry.h"
 #include "sim/time.h"
@@ -147,12 +146,6 @@ class SingleLinkTransport final : public ChunkTransport {
   explicit SingleLinkTransport(net::ChunkSource& source,
                                TransportOptions options = {});
 
-  // DEPRECATED adapter overload, kept for callers that still hold a bare
-  // link: wraps `link` in an owned net::LinkSource, which is bit-identical
-  // to the pre-ChunkSource behaviour (regression-tested). New code should
-  // construct the source explicitly — that is where a CDN tier plugs in.
-  explicit SingleLinkTransport(net::Link& link, TransportOptions options = {});
-
   void fetch(ChunkRequest request) override;
   [[nodiscard]] double estimated_kbps() const override;
   [[nodiscard]] int in_flight() const override;
@@ -170,7 +163,6 @@ class SingleLinkTransport final : public ChunkTransport {
     bool settled = false;  // guards the timeout event against re-fire
   };
 
-  void init();
   void pump();
   void finish_without_delivery(ChunkRequest& request, sim::Time when,
                                FetchOutcome outcome);
@@ -180,9 +172,6 @@ class SingleLinkTransport final : public ChunkTransport {
     return urgent_queue_.size() + regular_queue_.size();
   }
 
-  // Set only by the deprecated Link& overload; declared before source_ so
-  // the reference can bind to it during construction.
-  std::unique_ptr<net::LinkSource> owned_source_;
   net::ChunkSource& source_;
   TransportOptions options_;
   obs::Counter* requests_metric_ = nullptr;

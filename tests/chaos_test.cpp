@@ -73,7 +73,8 @@ core::SessionReport run_vod(bool recovery) {
                                  .faults = stormy_plan()});
   core::TransportOptions options;
   options.recovery.enabled = recovery;
-  core::SingleLinkTransport transport(link, options);
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source, options);
   core::SessionConfig config;
   config.fetch_recovery = recovery;
   auto video = make_video();
@@ -166,7 +167,8 @@ live::TiledLiveReport run_live(bool recovery) {
   core::TransportOptions options;
   options.max_concurrent = 12;
   options.recovery.enabled = recovery;
-  core::SingleLinkTransport transport(link, options);
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source, options);
   live::TiledLiveConfig config;
   config.fetch_recovery = recovery;
   auto video = make_video(30.0);

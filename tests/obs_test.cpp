@@ -210,8 +210,9 @@ core::SessionReport run_instrumented(obs::Telemetry* telemetry) {
                                  .bandwidth = net::BandwidthTrace::steps(
                                      {{0.0, 20'000.0}, {6.0, 0.0}, {16.0, 20'000.0}}),
                                  .rtt = sim::milliseconds(30), .faults = {}});
+  net::LinkSource source(link);
   core::SingleLinkTransport transport(
-      link, {.max_concurrent = 4, .telemetry = telemetry, .recovery = {}});
+      source, {.max_concurrent = 4, .telemetry = telemetry, .recovery = {}});
   auto video = make_video();
   const auto trace = make_trace(66);
   core::SessionConfig config;
