@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/session.h"
@@ -707,6 +711,288 @@ TEST(ExportChromeTrace, NestsAttemptAndRetrySpansByRequestId) {
   // Both same-cell fetches must close: two X-phase fetch spans, not one.
   EXPECT_NE(json.find("\"dur\":200000"), std::string::npos);  // 1.0 -> 1.2 s
   EXPECT_NE(json.find("\"dur\":400000"), std::string::npos);  // 2.0 -> 2.4 s
+}
+
+// ---------------------------------------------------------------------------
+// Exporter byte pins: the exact Chrome trace and JSONL bytes of a hand-built
+// event vector, and digests of a seeded stream. A diff here is a change of
+// the export format, never a refactor.
+// ---------------------------------------------------------------------------
+
+// Every pairing branch of write_chrome_trace, in one event vector: request
+// spans (Fetch / FetchRetry / FetchDropped), untraced cell spans, transport
+// Attempt / Retry spans, a Stall span, orphan ends of each kind, several
+// unclosed leftovers per open-span table (all at one timestamp, so only
+// the flush order separates them), records tied on ts, and the double /
+// integer formatting edge values.
+std::vector<obs::TraceEvent> golden_events() {
+  using T = obs::TraceEventType;
+  const auto at = [](std::int64_t us) { return sim::Time{us}; };
+  const double inf = std::numeric_limits<double>::infinity();
+  return {
+      {.type = T::kSessionStart, .ts = at(0)},
+      {.type = T::kPlanComputed, .ts = at(1000), .chunk = 0, .value = 0.0},
+      // Request 1: first attempt fails, the transport retry delivers.
+      {.type = T::kFetchDispatched, .ts = at(1000), .tile = 0, .chunk = 0,
+       .quality = 2, .urgent = true, .request = 1},
+      {.type = T::kFetchAttemptStart, .ts = at(1000), .value = 0.0,
+       .request = 1},
+      // Untraced cell span opening on the same tick.
+      {.type = T::kFetchDispatched, .ts = at(1000), .tile = 1, .chunk = 0,
+       .quality = 0},
+      {.type = T::kFetchAttemptEnd, .ts = at(1500), .value = 0.0,
+       .request = 1},
+      {.type = T::kFetchAttemptStart, .ts = at(1500), .value = 1.0,
+       .request = 1},
+      {.type = T::kFetchDone, .ts = at(1800), .tile = 1, .chunk = 0,
+       .quality = 0, .bytes = 4096},
+      {.type = T::kFetchAttemptEnd, .ts = at(2500), .value = 1.0,
+       .request = 1},
+      {.type = T::kFetchDone, .ts = at(2500), .tile = 0, .chunk = 0,
+       .quality = 2, .bytes = std::numeric_limits<std::int64_t>::max(),
+       .request = 1},
+      // Request 2 replaces request 1; only its dispatch names the parent.
+      {.type = T::kFetchDispatched, .ts = at(3000), .tile = 0, .chunk = 0,
+       .quality = 0, .request = 2, .parent = 1},
+      {.type = T::kFetchDispatched, .ts = at(3000), .tile = 2, .chunk = 1,
+       .quality = 1, .request = 3},
+      {.type = T::kFetchDone, .ts = at(3400), .tile = 0, .chunk = 0,
+       .quality = 0, .bytes = 512, .request = 2},
+      {.type = T::kFetchDropped, .ts = at(3600), .tile = 2, .chunk = 1,
+       .quality = 1, .request = 3},
+      // Untraced cell dropped at its deadline.
+      {.type = T::kFetchDispatched, .ts = at(3700), .tile = 3, .chunk = 1,
+       .quality = 0},
+      {.type = T::kFetchDropped, .ts = at(3900), .tile = 3, .chunk = 1,
+       .quality = 0},
+      // A stall span, then an orphan StallEnd.
+      {.type = T::kStallBegin, .ts = at(4000)},
+      {.type = T::kStallEnd, .ts = at(4750), .value = 0.00075},
+      {.type = T::kStallEnd, .ts = at(5000), .value = 0.25},
+      // Orphan ends of every fetch kind.
+      {.type = T::kFetchDone, .ts = at(5000), .bytes = 7, .request = 99},
+      {.type = T::kFetchDropped, .ts = at(5000), .request = 98},
+      {.type = T::kFetchDone, .ts = at(5000), .tile = 9, .chunk = 9,
+       .quality = 9},
+      {.type = T::kFetchDropped, .ts = at(5000), .tile = 8, .chunk = 8,
+       .quality = 8},
+      {.type = T::kFetchAttemptEnd, .ts = at(5000), .value = 2.0,
+       .request = 97},
+      // Formatting edge values on the instants of every other track.
+      {.type = T::kUpgradeDecided, .ts = at(6000), .tile = 4, .chunk = 2,
+       .quality = 3, .value = -0.0},
+      {.type = T::kChunkPlayed, .ts = at(6000), .chunk = 1, .value = 1e-7},
+      {.type = T::kPathAssigned, .ts = at(6000), .path = 1, .value = 0.1},
+      {.type = T::kSegmentCaptured, .ts = at(6100), .chunk = 5,
+       .value = 1.0 / 3.0},
+      {.type = T::kSegmentDropped, .ts = at(6100), .chunk = 6,
+       .value = 123456789012.5},
+      {.type = T::kSegmentDisplayed, .ts = at(6100), .chunk = 5,
+       .value = 1e21},
+      {.type = T::kSloBreach, .ts = at(6200), .value = -2.5},
+      {.type = T::kSloClear, .ts = at(6300),
+       .value = std::numeric_limits<double>::denorm_min()},
+      {.type = T::kChunkPlayed, .ts = at(6400), .value = inf},
+      {.type = T::kChunkPlayed, .ts = at(6400), .value = -inf},
+      // A type outside the enumerators lands on the "sim" track.
+      {.type = static_cast<T>(200), .ts = at(6500)},
+      // Unclosed leftovers, inserted out of key order; re-opening a key
+      // replaces its begin.
+      {.type = T::kFetchDispatched, .ts = at(7000), .tile = 5, .chunk = 3,
+       .quality = 1},
+      {.type = T::kFetchDispatched, .ts = at(7000), .tile = 1, .chunk = 4,
+       .quality = 0},
+      {.type = T::kFetchDispatched, .ts = at(7000), .tile = 5, .chunk = 2,
+       .quality = 2},
+      {.type = T::kFetchDispatched, .ts = at(7000), .tile = 5, .chunk = 3,
+       .quality = 0},
+      {.type = T::kFetchDispatched, .ts = at(7000), .tile = 6, .request = 40},
+      {.type = T::kFetchDispatched, .ts = at(7000), .tile = 7, .request = 7},
+      {.type = T::kFetchDispatched, .ts = at(7000), .tile = 8, .request = 25},
+      {.type = T::kFetchDispatched, .ts = at(7000), .tile = 9, .urgent = true,
+       .request = 40},
+      {.type = T::kFetchAttemptStart, .ts = at(7000), .value = 3.0,
+       .request = 7},
+      {.type = T::kFetchAttemptStart, .ts = at(7000), .value = 1.0,
+       .request = 7},
+      {.type = T::kFetchAttemptStart, .ts = at(7000), .value = 5.0,
+       .request = 2},
+      {.type = T::kFetchAttemptStart, .ts = at(7000), .value = 1.75,
+       .request = 25},
+      {.type = T::kStallBegin, .ts = at(7000), .value = 1.0},
+      {.type = T::kStallBegin, .ts = at(7000), .value = 2.0},
+      {.type = T::kSessionEnd, .ts = at(7000)},
+  };
+}
+
+// A 20k-event stream drawn from raw std::mt19937_64 output (no
+// distribution objects, whose algorithms are implementation-defined):
+// random types, unsorted timestamps, small request / cell spaces so begins
+// and ends pair, and doubles spanning many binades.
+std::vector<obs::TraceEvent> seeded_events() {
+  std::mt19937_64 rng(20240613);
+  std::vector<obs::TraceEvent> events;
+  events.reserve(20000);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t a = rng();
+    const std::uint64_t b = rng();
+    obs::TraceEvent e;
+    e.type = static_cast<obs::TraceEventType>(a % 18);
+    e.ts = sim::Time{static_cast<std::int64_t>((a >> 8) % 60'000'000)};
+    e.tile = static_cast<std::int32_t>((a >> 40) % 6) - 1;
+    e.chunk = static_cast<std::int32_t>((a >> 44) % 5);
+    e.quality = static_cast<std::int32_t>((a >> 48) % 3);
+    e.path = static_cast<std::int32_t>((a >> 52) % 3) - 1;
+    e.bytes = static_cast<std::int64_t>(b >> 20);
+    e.urgent = ((a >> 56) & 1U) != 0;
+    e.request = static_cast<std::int64_t>((b >> 4) % 48);
+    e.parent = ((b >> 10) & 3U) == 0 ? static_cast<std::int64_t>((b >> 12) % 48)
+                                      : 0;
+    const bool attempt = e.type == obs::TraceEventType::kFetchAttemptStart ||
+                         e.type == obs::TraceEventType::kFetchAttemptEnd;
+    e.value = attempt ? static_cast<double>(b % 3)
+                      : std::ldexp(static_cast<double>(b >> 11) *
+                                       ((b & 1U) != 0 ? -1.0 : 1.0),
+                                   static_cast<int>((a >> 57) % 80) - 100);
+    events.push_back(e);
+  }
+  return events;
+}
+
+// 64-bit FNV-1a over the bytes of `s`.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr std::string_view kGoldenChrome = R"golden([
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"session"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"plan"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"fetch"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"playback"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":5,"args":{"name":"multipath"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":6,"args":{"name":"live"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":7,"args":{"name":"sim"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":8,"args":{"name":"slo"}},
+{"name":"SessionStart","cat":"session","ph":"i","s":"t","ts":0,"pid":1,"tid":1,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"PlanComputed","cat":"plan","ph":"i","s":"t","ts":1000,"pid":1,"tid":2,"args":{"tile":-1,"chunk":0,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"Attempt","cat":"fetch","ph":"X","dur":500,"ts":1000,"pid":1,"tid":3,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":1,"parent":0}},
+{"name":"Fetch","cat":"fetch","ph":"X","dur":800,"ts":1000,"pid":1,"tid":3,"args":{"tile":1,"chunk":0,"quality":0,"path":-1,"bytes":4096,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"Fetch","cat":"fetch","ph":"X","dur":1500,"ts":1000,"pid":1,"tid":3,"args":{"tile":0,"chunk":0,"quality":2,"path":-1,"bytes":9223372036854775807,"urgent":true,"value":0,"request":1,"parent":0}},
+{"name":"Retry","cat":"fetch","ph":"X","dur":1000,"ts":1500,"pid":1,"tid":3,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1,"request":1,"parent":0}},
+{"name":"FetchRetry","cat":"fetch","ph":"X","dur":400,"ts":3000,"pid":1,"tid":3,"args":{"tile":0,"chunk":0,"quality":0,"path":-1,"bytes":512,"urgent":false,"value":0,"request":2,"parent":1}},
+{"name":"FetchDropped","cat":"fetch","ph":"X","dur":600,"ts":3000,"pid":1,"tid":3,"args":{"tile":2,"chunk":1,"quality":1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":3,"parent":0}},
+{"name":"FetchDropped","cat":"fetch","ph":"X","dur":200,"ts":3700,"pid":1,"tid":3,"args":{"tile":3,"chunk":1,"quality":0,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"Stall","cat":"playback","ph":"X","dur":750,"ts":4000,"pid":1,"tid":4,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0.00075,"request":0,"parent":0}},
+{"name":"StallEnd","cat":"playback","ph":"i","s":"t","ts":5000,"pid":1,"tid":4,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0.25,"request":0,"parent":0}},
+{"name":"FetchDone","cat":"fetch","ph":"i","s":"t","ts":5000,"pid":1,"tid":3,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":7,"urgent":false,"value":0,"request":99,"parent":0}},
+{"name":"FetchDropped","cat":"fetch","ph":"i","s":"t","ts":5000,"pid":1,"tid":3,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":98,"parent":0}},
+{"name":"FetchDone","cat":"fetch","ph":"i","s":"t","ts":5000,"pid":1,"tid":3,"args":{"tile":9,"chunk":9,"quality":9,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"FetchDropped","cat":"fetch","ph":"i","s":"t","ts":5000,"pid":1,"tid":3,"args":{"tile":8,"chunk":8,"quality":8,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"FetchAttemptEnd","cat":"fetch","ph":"i","s":"t","ts":5000,"pid":1,"tid":3,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":2,"request":97,"parent":0}},
+{"name":"UpgradeDecided","cat":"plan","ph":"i","s":"t","ts":6000,"pid":1,"tid":2,"args":{"tile":4,"chunk":2,"quality":3,"path":-1,"bytes":0,"urgent":false,"value":-0,"request":0,"parent":0}},
+{"name":"ChunkPlayed","cat":"playback","ph":"i","s":"t","ts":6000,"pid":1,"tid":4,"args":{"tile":-1,"chunk":1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1e-07,"request":0,"parent":0}},
+{"name":"PathAssigned","cat":"multipath","ph":"i","s":"t","ts":6000,"pid":1,"tid":5,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":1,"bytes":0,"urgent":false,"value":0.1,"request":0,"parent":0}},
+{"name":"SegmentCaptured","cat":"live","ph":"i","s":"t","ts":6100,"pid":1,"tid":6,"args":{"tile":-1,"chunk":5,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0.333333333333,"request":0,"parent":0}},
+{"name":"SegmentDropped","cat":"live","ph":"i","s":"t","ts":6100,"pid":1,"tid":6,"args":{"tile":-1,"chunk":6,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":123456789012,"request":0,"parent":0}},
+{"name":"SegmentDisplayed","cat":"live","ph":"i","s":"t","ts":6100,"pid":1,"tid":6,"args":{"tile":-1,"chunk":5,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1e+21,"request":0,"parent":0}},
+{"name":"SloBreach","cat":"slo","ph":"i","s":"t","ts":6200,"pid":1,"tid":8,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":-2.5,"request":0,"parent":0}},
+{"name":"SloClear","cat":"slo","ph":"i","s":"t","ts":6300,"pid":1,"tid":8,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":4.94065645841e-324,"request":0,"parent":0}},
+{"name":"ChunkPlayed","cat":"playback","ph":"i","s":"t","ts":6400,"pid":1,"tid":4,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":inf,"request":0,"parent":0}},
+{"name":"ChunkPlayed","cat":"playback","ph":"i","s":"t","ts":6400,"pid":1,"tid":4,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":-inf,"request":0,"parent":0}},
+{"name":"?","cat":"?","ph":"i","s":"t","ts":6500,"pid":1,"tid":7,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"SessionEnd","cat":"session","ph":"i","s":"t","ts":7000,"pid":1,"tid":1,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"FetchDispatched","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":1,"chunk":4,"quality":0,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"FetchDispatched","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":5,"chunk":2,"quality":2,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"FetchDispatched","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":5,"chunk":3,"quality":0,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"FetchDispatched","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":5,"chunk":3,"quality":1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}},
+{"name":"FetchDispatched","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":7,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":7,"parent":0}},
+{"name":"FetchDispatched","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":8,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":25,"parent":0}},
+{"name":"FetchDispatched","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":9,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":true,"value":0,"request":40,"parent":0}},
+{"name":"FetchAttemptStart","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":5,"request":2,"parent":0}},
+{"name":"FetchAttemptStart","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1,"request":7,"parent":0}},
+{"name":"FetchAttemptStart","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":3,"request":7,"parent":0}},
+{"name":"FetchAttemptStart","cat":"fetch","ph":"i","s":"t","ts":7000,"pid":1,"tid":3,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1.75,"request":25,"parent":0}},
+{"name":"StallBegin","cat":"playback","ph":"i","s":"t","ts":7000,"pid":1,"tid":4,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":2,"request":0,"parent":0}}
+]
+)golden";
+
+constexpr std::string_view kGoldenJsonl = R"golden({"event":"SessionStart","cat":"session","ts_us":0,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"PlanComputed","cat":"plan","ts_us":1000,"args":{"tile":-1,"chunk":0,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":1000,"args":{"tile":0,"chunk":0,"quality":2,"path":-1,"bytes":0,"urgent":true,"value":0,"request":1,"parent":0}}
+{"event":"FetchAttemptStart","cat":"fetch","ts_us":1000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":1,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":1000,"args":{"tile":1,"chunk":0,"quality":0,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchAttemptEnd","cat":"fetch","ts_us":1500,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":1,"parent":0}}
+{"event":"FetchAttemptStart","cat":"fetch","ts_us":1500,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1,"request":1,"parent":0}}
+{"event":"FetchDone","cat":"fetch","ts_us":1800,"args":{"tile":1,"chunk":0,"quality":0,"path":-1,"bytes":4096,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchAttemptEnd","cat":"fetch","ts_us":2500,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1,"request":1,"parent":0}}
+{"event":"FetchDone","cat":"fetch","ts_us":2500,"args":{"tile":0,"chunk":0,"quality":2,"path":-1,"bytes":9223372036854775807,"urgent":false,"value":0,"request":1,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":3000,"args":{"tile":0,"chunk":0,"quality":0,"path":-1,"bytes":0,"urgent":false,"value":0,"request":2,"parent":1}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":3000,"args":{"tile":2,"chunk":1,"quality":1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":3,"parent":0}}
+{"event":"FetchDone","cat":"fetch","ts_us":3400,"args":{"tile":0,"chunk":0,"quality":0,"path":-1,"bytes":512,"urgent":false,"value":0,"request":2,"parent":0}}
+{"event":"FetchDropped","cat":"fetch","ts_us":3600,"args":{"tile":2,"chunk":1,"quality":1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":3,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":3700,"args":{"tile":3,"chunk":1,"quality":0,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchDropped","cat":"fetch","ts_us":3900,"args":{"tile":3,"chunk":1,"quality":0,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"StallBegin","cat":"playback","ts_us":4000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"StallEnd","cat":"playback","ts_us":4750,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0.00075,"request":0,"parent":0}}
+{"event":"StallEnd","cat":"playback","ts_us":5000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0.25,"request":0,"parent":0}}
+{"event":"FetchDone","cat":"fetch","ts_us":5000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":7,"urgent":false,"value":0,"request":99,"parent":0}}
+{"event":"FetchDropped","cat":"fetch","ts_us":5000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":98,"parent":0}}
+{"event":"FetchDone","cat":"fetch","ts_us":5000,"args":{"tile":9,"chunk":9,"quality":9,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchDropped","cat":"fetch","ts_us":5000,"args":{"tile":8,"chunk":8,"quality":8,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchAttemptEnd","cat":"fetch","ts_us":5000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":2,"request":97,"parent":0}}
+{"event":"UpgradeDecided","cat":"plan","ts_us":6000,"args":{"tile":4,"chunk":2,"quality":3,"path":-1,"bytes":0,"urgent":false,"value":-0,"request":0,"parent":0}}
+{"event":"ChunkPlayed","cat":"playback","ts_us":6000,"args":{"tile":-1,"chunk":1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1e-07,"request":0,"parent":0}}
+{"event":"PathAssigned","cat":"multipath","ts_us":6000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":1,"bytes":0,"urgent":false,"value":0.1,"request":0,"parent":0}}
+{"event":"SegmentCaptured","cat":"live","ts_us":6100,"args":{"tile":-1,"chunk":5,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0.333333333333,"request":0,"parent":0}}
+{"event":"SegmentDropped","cat":"live","ts_us":6100,"args":{"tile":-1,"chunk":6,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":123456789012,"request":0,"parent":0}}
+{"event":"SegmentDisplayed","cat":"live","ts_us":6100,"args":{"tile":-1,"chunk":5,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1e+21,"request":0,"parent":0}}
+{"event":"SloBreach","cat":"slo","ts_us":6200,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":-2.5,"request":0,"parent":0}}
+{"event":"SloClear","cat":"slo","ts_us":6300,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":4.94065645841e-324,"request":0,"parent":0}}
+{"event":"ChunkPlayed","cat":"playback","ts_us":6400,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":inf,"request":0,"parent":0}}
+{"event":"ChunkPlayed","cat":"playback","ts_us":6400,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":-inf,"request":0,"parent":0}}
+{"event":"?","cat":"?","ts_us":6500,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":7000,"args":{"tile":5,"chunk":3,"quality":1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":7000,"args":{"tile":1,"chunk":4,"quality":0,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":7000,"args":{"tile":5,"chunk":2,"quality":2,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":7000,"args":{"tile":5,"chunk":3,"quality":0,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":7000,"args":{"tile":6,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":40,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":7000,"args":{"tile":7,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":7,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":7000,"args":{"tile":8,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":25,"parent":0}}
+{"event":"FetchDispatched","cat":"fetch","ts_us":7000,"args":{"tile":9,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":true,"value":0,"request":40,"parent":0}}
+{"event":"FetchAttemptStart","cat":"fetch","ts_us":7000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":3,"request":7,"parent":0}}
+{"event":"FetchAttemptStart","cat":"fetch","ts_us":7000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1,"request":7,"parent":0}}
+{"event":"FetchAttemptStart","cat":"fetch","ts_us":7000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":5,"request":2,"parent":0}}
+{"event":"FetchAttemptStart","cat":"fetch","ts_us":7000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1.75,"request":25,"parent":0}}
+{"event":"StallBegin","cat":"playback","ts_us":7000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":1,"request":0,"parent":0}}
+{"event":"StallBegin","cat":"playback","ts_us":7000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":2,"request":0,"parent":0}}
+{"event":"SessionEnd","cat":"session","ts_us":7000,"args":{"tile":-1,"chunk":-1,"quality":-1,"path":-1,"bytes":0,"urgent":false,"value":0,"request":0,"parent":0}}
+)golden";
+
+TEST(ExportGolden, HandBuiltEventsExportExactBytes) {
+  const std::vector<obs::TraceEvent> events = golden_events();
+  std::ostringstream chrome;
+  std::ostringstream jsonl;
+  obs::write_chrome_trace(chrome, events);
+  obs::write_trace_jsonl(jsonl, events);
+  EXPECT_EQ(chrome.str(), kGoldenChrome);
+  EXPECT_EQ(jsonl.str(), kGoldenJsonl);
+}
+
+TEST(ExportGolden, SeededStreamDigests) {
+  const std::vector<obs::TraceEvent> events = seeded_events();
+  std::ostringstream chrome;
+  std::ostringstream jsonl;
+  obs::write_chrome_trace(chrome, events);
+  obs::write_trace_jsonl(jsonl, events);
+  EXPECT_EQ(chrome.str().size(), 3704823u);
+  EXPECT_EQ(fnv1a(chrome.str()), 0x4f7f601c39ea52b5ULL);
+  EXPECT_EQ(jsonl.str().size(), 3803883u);
+  EXPECT_EQ(fnv1a(jsonl.str()), 0x32693a4df7ec30a6ULL);
 }
 
 TEST(TelemetryEndToEnd, FetchEventsCarryUniqueCausalRequestIds) {
