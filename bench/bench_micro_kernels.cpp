@@ -1,13 +1,16 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the streaming
 // stack: FoV visibility sampling, fusion probability maps, VRA planning,
-// and the fluid link's reflow under concurrent transfers. These guard
-// against performance regressions — the client-side logic must stay far
-// cheaper than the 4-10 ms frame budget it models.
+// the fluid link's reflow under concurrent transfers, and the telemetry
+// layer's recording and trace export. These guard against performance
+// regressions — the client-side logic must stay far cheaper than the
+// 4-10 ms frame budget it models.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <ostream>
+#include <streambuf>
 #include <vector>
 
 #include "abr/factory.h"
@@ -16,6 +19,7 @@
 #include "hmp/head_trace.h"
 #include "media/video_model.h"
 #include "net/link.h"
+#include "obs/export.h"
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
 
@@ -205,6 +209,89 @@ void BM_TraceRecord(benchmark::State& state) {
   benchmark::DoNotOptimize(telemetry.trace().size());
 }
 BENCHMARK(BM_TraceRecord);
+
+// A fixed 100k-event session timeline for the exporter benches: each
+// group of eight events plans a chunk, dispatches one request and closes
+// the previous one (one transport attempt each), decides an upgrade,
+// plays a chunk, and alternately opens or closes a stall.
+std::vector<obs::TraceEvent> synthetic_trace() {
+  using T = obs::TraceEventType;
+  std::vector<obs::TraceEvent> events;
+  events.reserve(100'000);
+  for (std::int64_t g = 0; g < 12'500; ++g) {
+    const sim::Time t{g * 40'000};
+    const auto tile = static_cast<std::int32_t>(g % 24);
+    const auto chunk = static_cast<std::int32_t>(g / 24);
+    events.push_back({.type = T::kPlanComputed, .ts = t, .chunk = chunk,
+                      .value = 0.37 * static_cast<double>(g % 11)});
+    events.push_back({.type = T::kFetchDispatched, .ts = t, .tile = tile,
+                      .chunk = chunk, .quality = 2, .request = g + 1});
+    events.push_back({.type = T::kFetchAttemptStart, .ts = t,
+                      .request = g + 1});
+    events.push_back({.type = T::kFetchAttemptEnd, .ts = t + sim::Time{900},
+                      .request = g});
+    events.push_back({.type = T::kFetchDone, .ts = t + sim::Time{900},
+                      .tile = tile, .chunk = chunk, .quality = 2,
+                      .bytes = 180'000 + g % 977, .request = g});
+    events.push_back({.type = T::kUpgradeDecided, .ts = t + sim::Time{1000},
+                      .tile = tile, .chunk = chunk, .quality = 3,
+                      .value = 1.0 / static_cast<double>(g + 3)});
+    events.push_back({.type = T::kChunkPlayed, .ts = t + sim::Time{2000},
+                      .chunk = chunk, .value = 0.913});
+    events.push_back({.type = g % 2 == 0 ? T::kStallBegin : T::kStallEnd,
+                      .ts = t + sim::Time{3000}, .value = 0.25});
+  }
+  return events;
+}
+
+// Counts and drops every byte, so the benches time formatting only.
+class DiscardBuf : public std::streambuf {
+ public:
+  [[nodiscard]] std::int64_t bytes() const { return bytes_; }
+
+ protected:
+  int_type overflow(int_type c) override {
+    ++bytes_;
+    return c;
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += n;
+    return n;
+  }
+
+ private:
+  std::int64_t bytes_ = 0;
+};
+
+void BM_WriteChromeTrace(benchmark::State& state) {
+  const std::vector<obs::TraceEvent> events = synthetic_trace();
+  DiscardBuf buf;
+  std::ostream out(&buf);
+  for (auto _ : state) {
+    obs::write_chrome_trace(out, events);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(buf.bytes());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events.size()));
+  state.SetBytesProcessed(buf.bytes());
+}
+BENCHMARK(BM_WriteChromeTrace)->Unit(benchmark::kMillisecond);
+
+void BM_WriteTraceJsonl(benchmark::State& state) {
+  const std::vector<obs::TraceEvent> events = synthetic_trace();
+  DiscardBuf buf;
+  std::ostream out(&buf);
+  for (auto _ : state) {
+    obs::write_trace_jsonl(out, events);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(buf.bytes());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events.size()));
+  state.SetBytesProcessed(buf.bytes());
+}
+BENCHMARK(BM_WriteTraceJsonl)->Unit(benchmark::kMillisecond);
 
 void BM_HeadTraceGeneration(benchmark::State& state) {
   hmp::HeadTraceConfig cfg;

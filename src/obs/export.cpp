@@ -1,12 +1,16 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
+#include <charconv>
+#include <concepts>
+#include <cstddef>
+#include <cstdint>
 #include <fstream>
-#include <map>
 #include <ostream>
 #include <stdexcept>
-#include <tuple>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "util/csv.h"
@@ -14,51 +18,158 @@
 namespace sperke::obs {
 namespace {
 
-// Shortest round-trippable decimal; deterministic for identical inputs.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+// printf "%.12g" in the C locale: 12 significant digits, which is what
+// std::to_chars' general format with precision 12 is specified to produce.
+// Returns one past the last character written; `p` needs 32 bytes.
+char* put_double(char* p, double v) {
+  return std::to_chars(p, p + 32, v, std::chars_format::general, 12).ptr;
 }
+
+std::string fmt_double(double v) {
+  char buf[32];
+  return {buf, put_double(buf, v)};
+}
+
+// Formats into one reused buffer and hands it to the stream in large
+// write() blocks. flush() must run before the caller returns so the
+// stream's state reports any write failure.
+class BlockWriter {
+ public:
+  explicit BlockWriter(std::ostream& out) : out_(out) {}
+  BlockWriter& operator<<(std::string_view s) {
+    if (buf_.size() >= kBlock) flush();
+    buf_.append(s);
+    return *this;
+  }
+  BlockWriter& operator<<(std::integral auto v) {
+    char tmp[24];
+    const char* end = std::to_chars(tmp, tmp + sizeof(tmp), v).ptr;
+    buf_.append(tmp, static_cast<std::size_t>(end - tmp));
+    return *this;
+  }
+  BlockWriter& operator<<(double v) {
+    char tmp[32];
+    const char* end = put_double(tmp, v);
+    buf_.append(tmp, static_cast<std::size_t>(end - tmp));
+    return *this;
+  }
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kBlock = std::size_t{1} << 16;
+  std::ostream& out_;
+  std::string buf_;
+};
 
 // Chrome trace viewers group events by (pid, tid); give each category its
 // own named track so the timeline reads as one lane per pipeline layer.
 int track_of(TraceEventType type) {
-  const std::string_view cat = trace_event_category(type);
-  if (cat == "session") return 1;
-  if (cat == "plan") return 2;
-  if (cat == "fetch") return 3;
-  if (cat == "playback") return 4;
-  if (cat == "multipath") return 5;
-  if (cat == "live") return 6;
-  if (cat == "slo") return 8;
+  switch (type) {
+    case TraceEventType::kSessionStart:
+    case TraceEventType::kSessionEnd: return 1;
+    case TraceEventType::kPlanComputed:
+    case TraceEventType::kUpgradeDecided: return 2;
+    case TraceEventType::kFetchDispatched:
+    case TraceEventType::kFetchDone:
+    case TraceEventType::kFetchDropped:
+    case TraceEventType::kFetchAttemptStart:
+    case TraceEventType::kFetchAttemptEnd: return 3;
+    case TraceEventType::kStallBegin:
+    case TraceEventType::kStallEnd:
+    case TraceEventType::kChunkPlayed: return 4;
+    case TraceEventType::kPathAssigned: return 5;
+    case TraceEventType::kSegmentCaptured:
+    case TraceEventType::kSegmentDropped:
+    case TraceEventType::kSegmentDisplayed: return 6;
+    case TraceEventType::kSloBreach:
+    case TraceEventType::kSloClear: return 8;
+  }
   return 7;
 }
 
-std::string args_json(const TraceEvent& e) {
-  std::string out = "{";
-  out += "\"tile\":" + std::to_string(e.tile);
-  out += ",\"chunk\":" + std::to_string(e.chunk);
-  out += ",\"quality\":" + std::to_string(e.quality);
-  out += ",\"path\":" + std::to_string(e.path);
-  out += ",\"bytes\":" + std::to_string(e.bytes);
-  out += std::string(",\"urgent\":") + (e.urgent ? "true" : "false");
-  out += ",\"value\":" + fmt_double(e.value);
-  out += ",\"request\":" + std::to_string(e.request);
-  out += ",\"parent\":" + std::to_string(e.parent);
-  out += "}";
-  return out;
+// An event's fields as the JSON "args" object.
+struct Args {
+  const TraceEvent& e;
+};
+
+BlockWriter& operator<<(BlockWriter& w, const Args& a) {
+  const TraceEvent& e = a.e;
+  return w << "{\"tile\":" << e.tile << ",\"chunk\":" << e.chunk
+           << ",\"quality\":" << e.quality << ",\"path\":" << e.path
+           << ",\"bytes\":" << e.bytes
+           << (e.urgent ? ",\"urgent\":true" : ",\"urgent\":false")
+           << ",\"value\":" << e.value << ",\"request\":" << e.request
+           << ",\"parent\":" << e.parent << "}";
 }
 
 struct Record {
   std::int64_t ts = 0;
   std::int64_t dur = -1;  // -1: instant event
-  std::size_t order = 0;  // creation order, the sort tie-break
-  std::string name;
-  std::string cat;
-  int tid = 0;
-  std::string args;
+  std::string_view name;
+  TraceEvent event;  // the args source; cat and track follow its type
 };
+
+// Open spans wait in one table for their closing event: fetches keyed by
+// request id when the producer assigned one (ids disambiguate a retry of
+// the same chunk cell), falling back to the chunk cell + quality for
+// untraced events; transport attempts by (request id, attempt number).
+// Stalls carry no session identity, so one stall is open at a time: where
+// sessions interleave, a StallBegin replaces the open one (see export.h).
+// The leading kind orders unclosed leftovers: cells, requests, attempts,
+// then the stall.
+using SpanKey = std::array<std::int64_t, 4>;
+
+SpanKey span_key(const TraceEvent& e) {
+  switch (e.type) {
+    case TraceEventType::kFetchAttemptStart:
+    case TraceEventType::kFetchAttemptEnd:
+      return {2, e.request, static_cast<std::int64_t>(e.value), 0};
+    case TraceEventType::kStallBegin:
+    case TraceEventType::kStallEnd: return {3, 0, 0, 0};
+    default:
+      if (e.request != 0) return {1, e.request, 0, 0};
+      return {0, e.tile, e.chunk, e.quality};
+  }
+}
+
+struct SpanKeyHash {
+  std::size_t operator()(const SpanKey& key) const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the fields
+    for (const std::int64_t f : key) {
+      h = (h ^ static_cast<std::uint64_t>(f)) * 0x100000001b3ULL;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+// The complete ("ph":"X") span a begin and its closing event export as.
+Record span(const TraceEvent& begin, const TraceEvent& end) {
+  Record r{begin.ts.count(), (end.ts - begin.ts).count(), {}, end};
+  switch (end.type) {
+    case TraceEventType::kFetchAttemptEnd:
+      // Nested inside the request's outer Fetch span on the same track:
+      // attempt 0 is the first try, attempt > 0 a transport retry after a
+      // fault.
+      r.name = end.value > 0.0 ? "Retry" : "Attempt";
+      break;
+    case TraceEventType::kStallEnd:
+      r.name = "Stall";
+      break;
+    default:  // kFetchDone, kFetchDropped
+      r.event.urgent = begin.urgent;
+      // A retried fetch's span carries its parent linkage even when only
+      // the dispatch event recorded it.
+      if (r.event.parent == 0) r.event.parent = begin.parent;
+      r.name = end.type == TraceEventType::kFetchDropped ? "FetchDropped"
+               : r.event.parent != 0                     ? "FetchRetry"
+                                                         : "Fetch";
+      break;
+  }
+  return r;
+}
 
 }  // namespace
 
@@ -66,156 +177,80 @@ void write_chrome_trace(std::ostream& out,
                         const std::vector<TraceEvent>& events) {
   std::vector<Record> records;
   records.reserve(events.size());
-  // Open spans awaiting their closing event: fetches keyed by request id
-  // when the producer assigned one (ids disambiguate a retry of the same
-  // chunk cell), falling back to the chunk cell + quality for untraced
-  // events; transport attempts by (request id, attempt number); stalls by
-  // track (at most one open per session).
-  std::map<std::tuple<std::int32_t, std::int32_t, std::int32_t>, TraceEvent>
-      open_fetches;
-  std::map<std::int64_t, TraceEvent> open_requests;
-  std::map<std::pair<std::int64_t, std::int64_t>, TraceEvent> open_attempts;
-  std::map<int, TraceEvent> open_stalls;
-
-  auto push = [&records](std::int64_t ts, std::int64_t dur, std::string name,
-                         const TraceEvent& e) {
-    Record r;
-    r.ts = ts;
-    r.dur = dur;
-    r.order = records.size();
-    r.name = std::move(name);
-    r.cat = std::string(trace_event_category(e.type));
-    r.tid = track_of(e.type);
-    r.args = args_json(e);
-    records.push_back(std::move(r));
-  };
-
+  std::unordered_map<SpanKey, const TraceEvent*, SpanKeyHash> open;
   for (const TraceEvent& e : events) {
     switch (e.type) {
       case TraceEventType::kFetchDispatched:
-        if (e.request != 0) {
-          open_requests[e.request] = e;
-        } else {
-          open_fetches[{e.tile, e.chunk, e.quality}] = e;
-        }
-        break;
-      case TraceEventType::kFetchDone:
-      case TraceEventType::kFetchDropped: {
-        const TraceEvent* begin = nullptr;
-        if (e.request != 0) {
-          const auto it = open_requests.find(e.request);
-          if (it != open_requests.end()) begin = &it->second;
-        } else {
-          const auto it = open_fetches.find({e.tile, e.chunk, e.quality});
-          if (it != open_fetches.end()) begin = &it->second;
-        }
-        if (begin != nullptr) {
-          TraceEvent span = e;
-          span.urgent = begin->urgent;
-          // A retried fetch's span carries its parent linkage even when
-          // only the dispatch event recorded it.
-          if (span.parent == 0) span.parent = begin->parent;
-          push(begin->ts.count(), (e.ts - begin->ts).count(),
-               e.type == TraceEventType::kFetchDone
-                   ? (span.parent != 0 ? "FetchRetry" : "Fetch")
-                   : "FetchDropped",
-               span);
-          if (e.request != 0) {
-            open_requests.erase(e.request);
-          } else {
-            open_fetches.erase({e.tile, e.chunk, e.quality});
-          }
-        } else {
-          push(e.ts.count(), -1, std::string(trace_event_name(e.type)), e);
-        }
-        break;
-      }
       case TraceEventType::kFetchAttemptStart:
-        open_attempts[{e.request, static_cast<std::int64_t>(e.value)}] = e;
-        break;
-      case TraceEventType::kFetchAttemptEnd: {
-        const auto it =
-            open_attempts.find({e.request, static_cast<std::int64_t>(e.value)});
-        if (it != open_attempts.end()) {
-          // Nested inside the request's outer Fetch span on the same
-          // track: attempt 0 is the first try, attempt > 0 a transport
-          // retry after a fault.
-          push(it->second.ts.count(), (e.ts - it->second.ts).count(),
-               e.value > 0.0 ? "Retry" : "Attempt", e);
-          open_attempts.erase(it);
-        } else {
-          push(e.ts.count(), -1, "FetchAttemptEnd", e);
-        }
-        break;
-      }
       case TraceEventType::kStallBegin:
-        open_stalls[track_of(e.type)] = e;
-        break;
-      case TraceEventType::kStallEnd: {
-        const auto it = open_stalls.find(track_of(e.type));
-        if (it != open_stalls.end()) {
-          push(it->second.ts.count(), (e.ts - it->second.ts).count(), "Stall", e);
-          open_stalls.erase(it);
-        } else {
-          push(e.ts.count(), -1, "StallEnd", e);
+        open[span_key(e)] = &e;
+        continue;
+      case TraceEventType::kFetchDone:
+      case TraceEventType::kFetchDropped:
+      case TraceEventType::kFetchAttemptEnd:
+      case TraceEventType::kStallEnd:
+        if (const auto it = open.find(span_key(e)); it != open.end()) {
+          records.push_back(span(*it->second, e));
+          open.erase(it);
+          continue;
         }
-        break;
-      }
+        break;  // an orphan end exports as an instant
       default:
-        push(e.ts.count(), -1, std::string(trace_event_name(e.type)), e);
         break;
     }
+    records.push_back({e.ts.count(), -1, trace_event_name(e.type), e});
   }
   // Spans that never closed (session cut off mid-fetch / mid-stall) export
-  // as instants so no event is silently lost.
-  for (const auto& [key, e] : open_fetches) {
-    push(e.ts.count(), -1, "FetchDispatched", e);
-  }
-  for (const auto& [request, e] : open_requests) {
-    push(e.ts.count(), -1, "FetchDispatched", e);
-  }
-  for (const auto& [key, e] : open_attempts) {
-    push(e.ts.count(), -1, "FetchAttemptStart", e);
-  }
-  for (const auto& [track, e] : open_stalls) {
-    push(e.ts.count(), -1, "StallBegin", e);
+  // as instants so no event is silently lost, in key order.
+  std::vector<std::pair<SpanKey, const TraceEvent*>> unclosed(open.begin(),
+                                                              open.end());
+  std::sort(unclosed.begin(), unclosed.end());
+  for (const auto& [key, e] : unclosed) {
+    records.push_back({e->ts.count(), -1, trace_event_name(e->type), *e});
   }
 
-  std::stable_sort(records.begin(), records.end(),
-                   [](const Record& a, const Record& b) {
-                     return std::tie(a.ts, a.order) < std::tie(b.ts, b.order);
-                   });
+  // Sorting compact (ts, creation order) keys orders the records exactly
+  // as a stable sort on ts would.
+  std::vector<std::pair<std::int64_t, std::size_t>> order(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    order[i] = {records[i].ts, i};
+  }
+  std::sort(order.begin(), order.end());
 
-  out << "[";
+  BlockWriter w(out);
+  w << "[";
   const char* track_names[] = {"",          "session", "plan", "fetch",
                                "playback", "multipath", "live", "sim", "slo"};
-  bool first = true;
   for (int tid = 1; tid <= 8; ++tid) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-        << ",\"args\":{\"name\":\"" << track_names[tid] << "\"}}";
+    w << (tid == 1 ? "\n" : ",\n")
+      << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
+      << ",\"args\":{\"name\":\"" << track_names[tid] << "\"}}";
   }
-  for (const Record& r : records) {
-    out << ",\n{\"name\":\"" << r.name << "\",\"cat\":\"" << r.cat << "\",";
+  for (const auto& [ts, i] : order) {
+    const Record& r = records[i];
+    w << ",\n{\"name\":\"" << r.name << "\",\"cat\":\""
+      << trace_event_category(r.event.type) << "\",";
     if (r.dur >= 0) {
-      out << "\"ph\":\"X\",\"dur\":" << r.dur << ",";
+      w << "\"ph\":\"X\",\"dur\":" << r.dur << ",";
     } else {
-      out << "\"ph\":\"i\",\"s\":\"t\",";
+      w << "\"ph\":\"i\",\"s\":\"t\",";
     }
-    out << "\"ts\":" << r.ts << ",\"pid\":1,\"tid\":" << r.tid
-        << ",\"args\":" << r.args << "}";
+    w << "\"ts\":" << ts << ",\"pid\":1,\"tid\":" << track_of(r.event.type)
+      << ",\"args\":" << Args{r.event} << "}";
   }
-  out << "\n]\n";
+  w << "\n]\n";
+  w.flush();
 }
 
 void write_trace_jsonl(std::ostream& out,
                        const std::vector<TraceEvent>& events) {
+  BlockWriter w(out);
   for (const TraceEvent& e : events) {
-    out << "{\"event\":\"" << trace_event_name(e.type) << "\",\"cat\":\""
-        << trace_event_category(e.type) << "\",\"ts_us\":" << e.ts.count()
-        << ",\"args\":" << args_json(e) << "}\n";
+    w << "{\"event\":\"" << trace_event_name(e.type) << "\",\"cat\":\""
+      << trace_event_category(e.type) << "\",\"ts_us\":" << e.ts.count()
+      << ",\"args\":" << Args{e} << "}\n";
   }
+  w.flush();
 }
 
 void write_metrics_csv(std::ostream& out, const MetricsRegistry& registry) {

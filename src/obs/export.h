@@ -4,7 +4,12 @@
 //    loadable in chrome://tracing or https://ui.perfetto.dev. Fetches and
 //    stalls are paired into complete ("ph":"X") spans; everything else is an
 //    instant event. Timestamps are simulator microseconds, so the exported
-//    file is byte-identical across runs with identical seeds.
+//    file is byte-identical across runs with identical seeds. Known
+//    limitation: stall events carry no session identity, so one stall is
+//    open at a time. In a trace that interleaves sessions (an engine
+//    shard's) a StallBegin replaces the one still open and spans pair
+//    across sessions: one 32-session edge shard's 492 StallBegins export
+//    as 232 Stall spans plus 260 orphan StallEnd instants.
 //  * write_trace_jsonl — one raw TraceEvent per line, for ad-hoc analysis.
 //  * write_metrics_csv — one row per instrument (name, kind, count, sum,
 //    mean, min, max, value), the bench harness's figure source.
