@@ -45,21 +45,6 @@ void BM_VisibleTiles(benchmark::State& state) {
 }
 BENCHMARK(BM_VisibleTiles)->Args({4, 6})->Args({8, 12});
 
-void BM_VisibleTilesLut(benchmark::State& state) {
-  // Same sweep through the LUT-accelerated path (roll 0): after the first
-  // lap over the quantized grid every query is a cache hit.
-  const auto geometry = geometry_for(static_cast<int>(state.range(0)),
-                                     static_cast<int>(state.range(1)));
-  const geo::Viewport viewport{100.0, 90.0};
-  double yaw = 0.0;
-  for (auto _ : state) {
-    yaw += 7.3;
-    benchmark::DoNotOptimize(
-        geometry->visible_tiles_lut({yaw, 10.0, 0.0}, viewport));
-  }
-}
-BENCHMARK(BM_VisibleTilesLut)->Args({4, 6})->Args({8, 12});
-
 void BM_OosRings(benchmark::State& state) {
   const auto geometry = geometry_for(8, 12);
   const auto visible = geometry->visible_tiles({0.0, 0.0, 0.0}, {100.0, 90.0});

@@ -3,10 +3,9 @@
 // A Shard owns everything its sessions can touch while running — its own
 // sim::Simulator, its own fetch fabric (a cdn::Topology holding the access
 // links, and the edge caches + backhauls when the CDN tier is enabled,
-// DESIGN.md §15) and transports, its own VideoModel
-// (the TileGeometry visibility LUT is a mutable cache, so the model is
-// shard-confined rather than shared), its own obs::Telemetry sink and
-// SimMonitor, and a private RNG stream derived as spec.seed ^ shard_id.
+// DESIGN.md §15) and transports, its own VideoModel (immutable and cheap
+// to build, so a per-shard copy costs little), its own obs::Telemetry sink
+// and SimMonitor, and a private RNG stream derived as spec.seed ^ shard_id.
 // The only state reaching across the shard boundary is genuinely const:
 // the WorldSpec, the shared head-trace pool, and the optional crowd
 // heatmap snapshot. Construction and run() both happen on whichever

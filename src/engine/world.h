@@ -41,11 +41,10 @@
 namespace sperke::engine {
 
 struct WorldSpec {
-  // Content. Every shard builds its own VideoModel from this config: the
-  // model is logically immutable, but its TileGeometry carries a lazily
-  // filled visibility LUT (a mutable cache), so sharing one instance across
-  // threads is not const-safe. Construction is deterministic in the config,
-  // so per-shard copies are identical.
+  // Content. Every shard builds its own VideoModel from this config. The
+  // model holds no mutable state (its TileGeometry is const-shareable), so
+  // one instance could serve every shard; construction is cheap and
+  // deterministic in the config, so the per-shard copies are identical.
   media::VideoModelConfig video;
 
   // Head traces: a pool of `trace_pool` traces generated once on the

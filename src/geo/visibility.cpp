@@ -1,11 +1,14 @@
 #include "geo/visibility.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <tuple>
 
+#include "util/check.h"
 #include "util/math.h"
 
 namespace sperke::geo {
@@ -52,18 +55,27 @@ TileGeometry::TileGeometry(std::shared_ptr<const Projection> projection,
   }
 
   // Precompute per-tile solid angle by sampling the sphere uniformly:
-  // stratified in longitude and in sin(latitude) (equal-area bands).
-  const int kLonSamples = 256;
-  const int kLatSamples = 128;
+  // stratified in longitude and in sin(latitude) (equal-area bands). The
+  // sin/cos of each longitude and latitude are hoisted out of the loop; the
+  // directions keep direction_from_lonlat's expressions.
+  constexpr std::size_t kLonSamples = 256;
+  constexpr std::size_t kLatSamples = 128;
+  std::array<double, kLatSamples> cos_lat{};
+  std::array<double, kLatSamples> sin_lat{};
+  for (std::size_t j = 0; j < kLatSamples; ++j) {
+    const double z = (j + 0.5) / kLatSamples * 2.0 - 1.0;  // sin(lat)
+    const double lat = deg_to_rad(std::clamp(rad_to_deg(std::asin(z)), -90.0, 90.0));
+    cos_lat[j] = std::cos(lat);
+    sin_lat[j] = std::sin(lat);
+  }
   solid_angle_.assign(static_cast<std::size_t>(grid_.tile_count()), 0.0);
-  for (int i = 0; i < kLonSamples; ++i) {
-    const double lon = (i + 0.5) / kLonSamples * 360.0 - 180.0;
-    for (int j = 0; j < kLatSamples; ++j) {
-      const double z = (j + 0.5) / kLatSamples * 2.0 - 1.0;  // sin(lat)
-      const double lat = rad_to_deg(std::asin(z));
-      const Vec3 dir = direction_from_lonlat(lon, lat);
-      const TileId id = grid_.tile_at(projection_->uv_from_direction(dir));
-      solid_angle_[static_cast<std::size_t>(id)] += 1.0;
+  for (std::size_t i = 0; i < kLonSamples; ++i) {
+    const double lon = deg_to_rad((i + 0.5) / kLonSamples * 360.0 - 180.0);
+    const double cos_lon = std::cos(lon);
+    const double sin_lon = std::sin(lon);
+    for (std::size_t j = 0; j < kLatSamples; ++j) {
+      const Vec3 dir{cos_lat[j] * cos_lon, cos_lat[j] * sin_lon, sin_lat[j]};
+      solid_angle_[static_cast<std::size_t>(classify(dir))] += 1.0;
     }
   }
   const double total = kLonSamples * static_cast<double>(kLatSamples);
@@ -136,6 +148,165 @@ TileId TileGeometry::classify(const Vec3& dir) const {
                         : grid_.tile_at(projection_->uv_from_direction(dir));
 }
 
+void TileGeometry::mark_equirect_column(const Vec3& fr, Scratch& scratch) const {
+  // A value more than kG (normalized) from its boundary is far outside
+  // classify_equirect's kEdgeEps band plus rounding: its sign is the
+  // classifier's. A column with a sample within kG is classified per sample.
+  constexpr double kG = 1e-9;
+  constexpr double kSecant = -1.0;  // resolve()'s x: no hint
+  const auto& up = scratch.up_terms;
+  const int n = static_cast<int>(up.size());
+  const auto ray = [&](int j) { return fr + up[static_cast<std::size_t>(j)]; };
+  const auto phi = [&](int j) {  // z|z|/|d|^2: monotone in sin(lat), no sqrt
+    const Vec3 d = ray(j);
+    return d.z * std::abs(d.z) / d.dot(d);
+  };
+
+  // Crossings are events pos * 8 + kind, so an int sort orders them by
+  // sample; each kXOff is kXOn + 1, and kHalf adds the boundaries at or
+  // below lon 0.
+  enum { kRowOn, kRowOff, kColOn, kColOff, kHalfOn, kHalfOff };
+  int row = 0;
+  int col = 0;
+  bool exact = false;  // some sample is within kG of a boundary
+  const auto apply = [&](int kind) {
+    const int step = kind % 2 == 0 ? 1 : -1;
+    if (kind < kColOn) row += step;
+    else col += kind < kHalfOn ? step : step * col_base_;
+  };
+  auto& events = scratch.events;
+  events.clear();
+  const auto add = [&](int pos, int kind) {
+    if (pos == 0) apply(kind);  // part of sample 0's state
+    if (pos > 0 && pos < n) events.push_back(pos * 8 + kind);
+  };
+
+  // Resolves a boundary on samples [lo, hi), where its value g is monotone:
+  // g >= 0 switches at most once, past g's zero x (a hint, else the secant's
+  // zero, exact for a linear g). The samples around x are probed and walked
+  // to the switch, leaving in a, b the samples nearest the boundary (the
+  // ends if g keeps its sign). Returns the switch, or hi.
+  const auto resolve = [&](int lo, int hi, double g_lo, double g_hi, double x,
+                           double eps, int on_kind, auto&& g) {
+    const bool on_lo = g_lo >= 0.0;
+    const bool on_hi = g_hi >= 0.0;
+    int a = lo;  // the samples nearest the zero
+    int b = hi - 1;
+    double g_a = g_lo;
+    double g_b = g_hi;
+    if (on_lo != on_hi) {
+      if (!(x >= lo && x <= hi - 1)) {
+        x = lo + (hi - 1 - lo) * (g_lo / (g_lo - g_hi));
+      }
+      b = std::clamp(static_cast<int>(x) + 1, lo + 1, hi - 1);
+      a = b - 1;
+      g_a = g(a);
+      g_b = g(b);
+      while (a > lo && (g_a >= 0.0) != on_lo) b = a, g_b = g_a, g_a = g(--a);
+      while (b + 1 < hi && (g_b >= 0.0) == on_lo)
+        a = b, g_a = g_b, g_b = g(++b);
+    }
+    const int t = on_lo != on_hi ? b : hi;
+    if (on_lo) add(lo, on_kind);
+    if (t < hi) add(t, on_lo ? on_kind + 1 : on_kind);
+    if (on_hi) add(hi, on_kind + 1);
+    exact = exact || std::abs(g_a) <= eps || std::abs(g_b) <= eps;
+    return t;
+  };
+
+  // Rows: sin(lat) peaks at b* = V.z|fr|^2 / (fr.z|V|^2), V = up_{n-1} (fr
+  // is orthogonal to V), so it is monotone on [0, split) and [split, n),
+  // whose ends span its range. As |s|s| - f|f|| <= 2|f - s|(|s| + |f - s|),
+  // a phi more than 2kG(|s| + kG) from s|s| puts sin(lat) more than kG from
+  // s, and a sin(lat) within kG of s keeps phi inside that margin.
+  const Vec3 v = up[static_cast<std::size_t>(n - 1)];
+  const double p = fr.z;
+  const double q = v.z;
+  const double ff = fr.dot(fr);
+  const double vv = v.dot(v);
+  const double j_star = (q * ff / (p * vv) + 1.0) / 2.0 * (n - 1);
+  const int split =
+      j_star >= 0.0 ? static_cast<int>(std::min(j_star, n - 1.0)) + 1 : 0;
+  const Vec3 d_first = ray(0);
+  const Vec3 d_last = ray(n - 1);
+  const double phi_first = phi(0);
+  const double phi_last = phi(n - 1);
+  const double phi_a = phi(std::clamp(split - 1, 0, n - 1));  // piece ends
+  const double phi_b = phi(std::clamp(split, 0, n - 1));
+  const auto [phi_min, phi_max] =
+      std::minmax({phi_first, phi_a, phi_b, phi_last});
+  // The linear values scale with |d|, which peaks at the column's ends.
+  const double eps =
+      kG * std::sqrt(std::max(d_first.dot(d_first), d_last.dot(d_last)));
+  for (const double s : row_sin_) {
+    const double target = s * std::abs(s);
+    const double margin = 2.0 * kG * (std::abs(s) + kG);
+    if (target - phi_max > margin) {
+      ++row;  // z <= s on the whole column: folded into sample 0's state
+    } else if (phi_min - target > margin) {
+      continue;  // z > s on the whole column
+    } else if (s == 0.0) {  // the equator: -z is linear
+      resolve(0, n, -d_first.z, -d_last.z, kSecant, eps, kRowOn,
+              [&](int j) { return -ray(j).z; });
+    } else {
+      // z = s|d| on d = fr + V b: (q^2 - s^2|V|^2) b^2 + 2pq b + p^2 -
+      // s^2|fr|^2 = 0 with (p + qb) s > 0; a root on a piece hints its switch.
+      const double qa = q * q - s * s * vv;
+      const double root =
+          std::sqrt(std::max(p * q * p * q - qa * (p * p - s * s * ff), 0.0));
+      for (const auto& [lo, hi, phi_lo, phi_hi] :
+           {std::tuple{0, split, phi_first, phi_a},
+            std::tuple{split, n, phi_b, phi_last}}) {
+        if (lo == hi) continue;
+        double x = kSecant;
+        for (const double r : {(-p * q - root) / qa, (-p * q + root) / qa}) {
+          const double xr = (r + 1.0) / 2.0 * (n - 1);
+          if ((p + q * r) * s > 0.0 && xr >= lo && xr <= hi - 1) x = xr;
+        }
+        resolve(lo, hi, target - phi_lo, target - phi_hi, x, margin, kRowOn,
+                [&](int j) { return target - phi(j); });
+      }
+    }
+  }
+
+  // Columns: the lon 0/±180 half-split (linear in j, as d_j = fr + up_j lie
+  // on a line), then each half's meridians over the samples on that side.
+  const bool pos_first = d_first.y >= 0.0;
+  const int t = resolve(0, n, d_first.y, d_last.y, kSecant, eps, kHalfOn,
+                        [&](int j) { return ray(j).y; });
+  for (const auto& [lo, hi, pos] :
+       {std::tuple{0, t, pos_first}, std::tuple{t, n, !pos_first}}) {
+    if (lo == hi) continue;
+    for (const auto& [c, s] : pos ? col_pos_ : col_neg_) {
+      const auto cross = [&](int j) { return ray(j).y * c - ray(j).x * s; };
+      resolve(lo, hi, cross(lo), cross(hi - 1), kSecant, eps, kColOn, cross);
+    }
+  }
+
+  auto& seen = scratch.seen;
+  if (exact) {
+    for (int j = 0; j < n; ++j) {
+      seen[static_cast<std::size_t>(classify_equirect(ray(j).normalized()))] = 1;
+    }
+    return;
+  }
+  // Sweep: each stretch between crossings is one tile.
+  std::sort(events.begin(), events.end());
+  int done = 0;  // samples [0, done) are marked
+  const auto emit = [&](int stop) {
+    if (stop == done) return;
+    SPERKE_DCHECK(row >= 0 && row < grid_.rows() && col >= 0 &&
+                  col < grid_.cols());
+    seen[static_cast<std::size_t>(row * grid_.cols() + col)] = 1;
+    done = stop;
+  };
+  for (const int e : events) {
+    emit(e / 8);
+    apply(e % 8);
+  }
+  emit(n);
+}
+
 std::vector<TileId> TileGeometry::visible_tiles(const Orientation& view,
                                                 const Viewport& viewport) const {
   // sperke-analyze: shared(per-thread scratch; never escapes the call)
@@ -178,6 +349,10 @@ void TileGeometry::visible_tiles(const Orientation& view, const Viewport& viewpo
   for (int i = 0; i < n; ++i) {
     const double a = static_cast<double>(i) / (n - 1) * 2.0 - 1.0;
     const Vec3 fr = basis.forward + basis.right * (a * tan_w);
+    if (equirect_fast_) {
+      mark_equirect_column(fr, scratch);
+      continue;
+    }
     for (int j = 0; j < n; ++j) {
       const Vec3 dir = (fr + up_terms[static_cast<std::size_t>(j)]).normalized();
       seen[static_cast<std::size_t>(classify(dir))] = 1;
@@ -193,55 +368,6 @@ void TileGeometry::visible_tiles(const Orientation& view, const Viewport& viewpo
   entry.view = view;
   entry.viewport = viewport;
   entry.tiles.assign(out.begin(), out.end());
-}
-
-Orientation TileGeometry::lut_snap(const Orientation& view) {
-  const Orientation n = view.normalized();
-  const auto yaw_cells = static_cast<long>(std::lround(360.0 / kLutStepDeg));
-  long iy = std::lround((n.yaw_deg + 180.0) / kLutStepDeg) % yaw_cells;
-  if (iy < 0) iy += yaw_cells;
-  const auto pitch_max = static_cast<long>(std::lround(180.0 / kLutStepDeg));
-  const long ip = std::clamp(std::lround((n.pitch_deg + 90.0) / kLutStepDeg),
-                             0L, pitch_max);
-  return Orientation{static_cast<double>(iy) * kLutStepDeg - 180.0,
-                     static_cast<double>(ip) * kLutStepDeg - 90.0, 0.0};
-}
-
-std::vector<TileId> TileGeometry::visible_tiles_lut(const Orientation& view,
-                                                    const Viewport& viewport) const {
-  // sperke-analyze: shared(per-thread scratch; never escapes the call)
-  thread_local Scratch scratch;
-  std::vector<TileId> out;
-  visible_tiles_lut(view, viewport, out, scratch);
-  return out;
-}
-
-void TileGeometry::visible_tiles_lut(const Orientation& view,
-                                     const Viewport& viewport,
-                                     std::vector<TileId>& out,
-                                     Scratch& scratch) const {
-  const Orientation norm = view.normalized();
-  if (!lut_.bound) {
-    lut_.bound = true;
-    lut_.viewport = viewport;
-    lut_.yaw_cells = static_cast<int>(std::lround(360.0 / kLutStepDeg));
-    lut_.pitch_cells = static_cast<int>(std::lround(180.0 / kLutStepDeg)) + 1;
-    lut_.cells.assign(
-        static_cast<std::size_t>(lut_.yaw_cells) * lut_.pitch_cells, {});
-  }
-  const bool same_viewport = lut_.viewport.width_deg == viewport.width_deg &&
-                             lut_.viewport.height_deg == viewport.height_deg;
-  if (norm.roll_deg != 0.0 || !same_viewport) {
-    visible_tiles(view, viewport, out, scratch);  // exact fallback
-    return;
-  }
-  const Orientation snapped = lut_snap(norm);
-  const long iy = std::lround((snapped.yaw_deg + 180.0) / kLutStepDeg);
-  const long ip = std::lround((snapped.pitch_deg + 90.0) / kLutStepDeg);
-  auto& cell = lut_.cells[static_cast<std::size_t>(ip) * lut_.yaw_cells +
-                          static_cast<std::size_t>(iy)];
-  if (cell.empty()) visible_tiles(snapped, lut_.viewport, cell, scratch);
-  out.assign(cell.begin(), cell.end());
 }
 
 std::vector<double> TileGeometry::tile_distances_deg(const Orientation& view) const {

@@ -8,10 +8,15 @@
 //
 // Hot-path notes (DESIGN.md §8): every query has an out-parameter overload
 // taking a reusable Scratch so steady-state callers allocate nothing; the
-// allocating signatures are thin wrappers. For the equirectangular
-// projection the per-sample direction->tile classification runs on
-// precomputed sin(latitude) row thresholds and column-boundary half-plane
-// tests instead of the generic asin/atan2 chain.
+// allocating signatures are thin wrappers. Equirect directions classify by
+// sign tests against precomputed row sines and boundary meridians; along a
+// frustum sample column those tests are linear or unimodal, so
+// visible_tiles prunes boundaries that keep one side by a margin, locates
+// the others from their zero and two probes, and classifies a column per
+// sample only if a sample lies within the margin (1e-9, far above the
+// classifier's 1e-12 guard band plus rounding): the set is the per-sample
+// one, bit for bit. The solid-angle build hoists its trig. TileGeometry
+// holds no mutable state, so one instance may be shared across threads.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +44,7 @@ class TileGeometry {
   struct Scratch {
     std::vector<char> seen;                        // visible_tiles marks
     std::vector<Vec3> up_terms;                    // per-row frustum offsets
+    std::vector<int> events;                       // per-column crossings
     std::vector<std::pair<double, TileId>> keys;   // tiles_by_distance keys
     std::vector<TileId> queue;                     // oos_rings BFS FIFO
     // Small exact memo for visible_tiles: a repeat query with a
@@ -65,9 +71,6 @@ class TileGeometry {
     int memo_next = 0;  // round-robin replacement cursor
   };
 
-  // Quantization step of the visible_tiles_lut() grid (yaw and pitch).
-  static constexpr double kLutStepDeg = 3.0;
-
   // Takes shared ownership of the projection so sessions can share one.
   TileGeometry(std::shared_ptr<const Projection> projection, TileGrid grid,
                int samples_per_axis = 24);
@@ -85,21 +88,6 @@ class TileGeometry {
                                                   const Viewport& viewport) const;
   void visible_tiles(const Orientation& view, const Viewport& viewport,
                      std::vector<TileId>& out, Scratch& scratch) const;
-
-  // LUT-accelerated visible set: snaps (yaw, pitch) to a kLutStepDeg grid
-  // (roll must be 0) and caches the exact visible set per grid point,
-  // computed on demand. Exact for orientations already on the grid (see
-  // lut_snap); otherwise the result is the exact set of the snapped
-  // orientation, i.e. off by at most the tiles a kLutStepDeg/2 head
-  // rotation can add or remove. The cache binds to the first viewport
-  // queried; other viewports and non-zero roll fall back to the exact path.
-  [[nodiscard]] std::vector<TileId> visible_tiles_lut(const Orientation& view,
-                                                      const Viewport& viewport) const;
-  void visible_tiles_lut(const Orientation& view, const Viewport& viewport,
-                         std::vector<TileId>& out, Scratch& scratch) const;
-
-  // The grid point visible_tiles_lut() resolves `view` to (roll forced 0).
-  [[nodiscard]] static Orientation lut_snap(const Orientation& view);
 
   // Great-circle distance (degrees) from the view direction to each tile's
   // center direction; index = TileId. Used to rank OOS tiles.
@@ -130,6 +118,8 @@ class TileGeometry {
  private:
   [[nodiscard]] TileId classify_equirect(const Vec3& dir) const;
   [[nodiscard]] TileId classify(const Vec3& dir) const;
+  // Marks in scratch.seen the tile of every sample fr + scratch.up_terms[j].
+  void mark_equirect_column(const Vec3& fr, Scratch& scratch) const;
 
   std::shared_ptr<const Projection> projection_;
   TileGrid grid_;
@@ -149,23 +139,6 @@ class TileGeometry {
   std::vector<std::pair<double, double>> col_neg_;       // (cos, sin), lon < 0
   std::vector<std::pair<double, double>> col_pos_;       // (cos, sin), lon > 0
   int col_base_ = 0;                                     // #boundaries lon <= 0
-
-  // Lazily-filled LUT cells (yaw-major per pitch row); bound to the first
-  // viewport that queries the LUT. A filled cell is never empty — the
-  // frustum always hits at least one tile — so empty marks "not yet built".
-  // thread-safety: this cache mutates under const visible_tiles_lut()
-  // calls, so a TileGeometry (and the VideoModel that owns it) is NOT
-  // const-shareable across threads. The sharded engine therefore builds one
-  // VideoModel per shard (deterministic in the config) instead of sharing
-  // one instance; see engine/world.h.
-  struct Lut {
-    bool bound = false;
-    Viewport viewport{};
-    int yaw_cells = 0;
-    int pitch_cells = 0;
-    std::vector<std::vector<TileId>> cells;
-  };
-  mutable Lut lut_;
 };
 
 }  // namespace sperke::geo

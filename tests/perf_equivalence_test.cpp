@@ -1,6 +1,7 @@
 // Equivalence oracles for the DESIGN.md §8 hot-path optimizations. Each
-// accelerated kernel (equirect sign-test classifier, visibility LUT, fused
-// fusion pass, keyed distance sort, scratch-buffer planning) is pinned
+// accelerated kernel (equirect sign-test classifier, per-column boundary
+// pruning in visible_tiles, hoisted solid-angle build, fused fusion pass,
+// keyed distance sort, scratch-buffer planning) is pinned
 // against a naive reference built from the same primitive expressions the
 // pre-optimization code evaluated — and the match must be *exact*, not
 // approximate, because seeded simulations diff their exports byte-for-byte.
@@ -8,9 +9,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <memory>
 #include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "abr/sperke_vra.h"
@@ -23,86 +26,103 @@
 #include "net/link.h"
 #include "sim/simulator.h"
 #include "util/math.h"
+#include "visibility_reference.h"
 
 namespace sperke {
 namespace {
 
-constexpr int kSamplesPerAxis = 24;  // keep in sync with the reference below
+constexpr int kSamplesPerAxis = 24;  // TileGeometry's default
 
-std::shared_ptr<geo::TileGeometry> equirect_geometry(int rows, int cols) {
+std::shared_ptr<geo::TileGeometry> equirect_geometry(
+    int rows, int cols, int samples_per_axis = kSamplesPerAxis) {
   return std::make_shared<geo::TileGeometry>(
       geo::make_projection("equirectangular"), geo::TileGrid(rows, cols),
-      kSamplesPerAxis);
+      samples_per_axis);
 }
 
-// The pre-optimization visible_tiles: every frustum sample goes through the
-// full uv_from_direction -> tile_at chain, with the direction built by the
-// same left-associated expression the production loop hoists.
-std::vector<geo::TileId> naive_visible_tiles(const geo::TileGeometry& geometry,
-                                             const geo::Orientation& view,
-                                             const geo::Viewport& viewport) {
-  const geo::ViewBasis basis = geo::view_basis(view.normalized());
-  const double half_w = deg_to_rad(viewport.width_deg) / 2.0;
-  const double half_h = deg_to_rad(viewport.height_deg) / 2.0;
-  const double tan_w = std::tan(half_w);
-  const double tan_h = std::tan(half_h);
-  std::vector<char> seen(static_cast<std::size_t>(geometry.grid().tile_count()), 0);
-  const int n = kSamplesPerAxis;
-  for (int i = 0; i < n; ++i) {
-    const double a = static_cast<double>(i) / (n - 1) * 2.0 - 1.0;
-    for (int j = 0; j < n; ++j) {
-      const double b = static_cast<double>(j) / (n - 1) * 2.0 - 1.0;
-      const geo::Vec3 dir = (basis.forward + basis.right * (a * tan_w) +
-                             basis.up * (b * tan_h))
-                                .normalized();
-      const geo::TileId id =
-          geometry.grid().tile_at(geometry.projection().uv_from_direction(dir));
-      seen[static_cast<std::size_t>(id)] = 1;
-    }
+// Compares one query against the naive per-sample reference; reports at
+// most a handful of mismatches per test so a systematic break stays
+// readable.
+void expect_matches_naive(const geo::TileGeometry& geometry,
+                          const geo::Orientation& view,
+                          const geo::Viewport& viewport, int n,
+                          int& mismatches) {
+  if (geometry.visible_tiles(view, viewport) ==
+      reference::naive_visible_tiles(geometry, view, viewport, n)) {
+    return;
   }
-  std::vector<geo::TileId> out;
-  for (geo::TileId id = 0; id < geometry.grid().tile_count(); ++id) {
-    if (seen[static_cast<std::size_t>(id)]) out.push_back(id);
+  if (++mismatches <= 5) {
+    ADD_FAILURE() << "grid " << geometry.grid().rows() << "x"
+                  << geometry.grid().cols() << " n=" << n << " viewport "
+                  << viewport.width_deg << "x" << viewport.height_deg
+                  << std::setprecision(17) << " yaw=" << view.yaw_deg
+                  << " pitch=" << view.pitch_deg << " roll=" << view.roll_deg;
   }
-  return out;
 }
 
 TEST(VisibleTilesEquivalence, FastClassifierMatchesNaiveRandomized) {
-  const geo::Viewport viewport{100.0, 90.0};
-  std::mt19937 rng(1234);
-  std::uniform_real_distribution<double> yaw(-360.0, 360.0);
-  std::uniform_real_distribution<double> pitch(-90.0, 90.0);
-  std::uniform_real_distribution<double> roll(-30.0, 30.0);
-  for (const auto& [rows, cols] : {std::pair{4, 6}, {8, 12}, {5, 7}, {1, 1}}) {
-    const auto geometry = equirect_geometry(rows, cols);
-    for (int trial = 0; trial < 200; ++trial) {
-      const geo::Orientation view{yaw(rng), pitch(rng),
-                                  trial % 3 == 0 ? roll(rng) : 0.0};
-      EXPECT_EQ(geometry->visible_tiles(view, viewport),
-                naive_visible_tiles(*geometry, view, viewport))
-          << "rows=" << rows << " cols=" << cols << " yaw=" << view.yaw_deg
-          << " pitch=" << view.pitch_deg << " roll=" << view.roll_deg;
+  const std::vector<geo::Viewport> viewports = {
+      {100.0, 90.0}, {60.0, 60.0}, {120.0, 100.0}, {170.0, 150.0}};
+  std::vector<std::pair<int, std::shared_ptr<geo::TileGeometry>>> geometries;
+  for (const auto& [rows, cols] :
+       {std::pair{4, 6}, {8, 12}, {5, 7}, {1, 1}, {2, 2}, {3, 1}}) {
+    for (const int n : {2, 5, 24}) {
+      geometries.emplace_back(n, equirect_geometry(rows, cols, n));
     }
   }
+  std::mt19937 rng(1234);
+  std::uniform_real_distribution<double> yaw(-360.0, 360.0);
+  std::uniform_real_distribution<double> pitch(-95.0, 95.0);  // clamps too
+  std::uniform_real_distribution<double> roll(-180.0, 180.0);
+  std::uniform_int_distribution<std::size_t> pick_geometry(0, geometries.size() - 1);
+  std::uniform_int_distribution<std::size_t> pick_viewport(0, viewports.size() - 1);
+  int mismatches = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const auto& [n, geometry] = geometries[pick_geometry(rng)];
+    const geo::Viewport& viewport = viewports[pick_viewport(rng)];
+    const geo::Orientation view{yaw(rng), pitch(rng), roll(rng)};
+    expect_matches_naive(*geometry, view, viewport, n, mismatches);
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(VisibleTilesEquivalence, FastClassifierMatchesNaiveAtEdges) {
-  const geo::Viewport viewport{100.0, 90.0};
-  const auto geometry = equirect_geometry(4, 6);
-  // Poles (degenerate x==y==0 samples), the seam, and exact tile-boundary
-  // meridians/parallels — where a one-ulp classifier disagreement would
-  // show up first.
-  const std::vector<geo::Orientation> edges = {
-      {0.0, 90.0, 0.0},    {0.0, -90.0, 0.0},  {180.0, 0.0, 0.0},
-      {-180.0, 0.0, 0.0},  {0.0, 0.0, 0.0},    {60.0, 45.0, 0.0},
-      {-60.0, -45.0, 0.0}, {120.0, 45.0, 0.0}, {90.0, 89.9, 15.0},
-      {-90.0, -89.9, -15.0}, {30.0, 0.0, 0.0}, {0.0, 45.0, 0.0},
+  // Poles (degenerate x==y==0 samples), the seam, and orientations exactly
+  // on a tile-boundary meridian or parallel and one ulp either side —
+  // where a one-ulp classifier disagreement would show up first. With odd
+  // n the center sample is the view direction itself, so these put samples
+  // on (or within an ulp of) boundaries and exercise the exact fallback.
+  const std::vector<geo::Orientation> extra = {
+      {90.0, 89.9, 15.0}, {-90.0, -89.9, -15.0}, {30.0, 0.0, 0.0}};
+  const auto around = [](double x) {
+    return std::vector<double>{std::nextafter(x, -1e9), x, std::nextafter(x, 1e9)};
   };
-  for (const auto& view : edges) {
-    EXPECT_EQ(geometry->visible_tiles(view, viewport),
-              naive_visible_tiles(*geometry, view, viewport))
-        << "yaw=" << view.yaw_deg << " pitch=" << view.pitch_deg;
+  const std::vector<geo::Viewport> viewports = {{100.0, 90.0}, {170.0, 150.0}};
+  int mismatches = 0;
+  for (const auto& [rows, cols] :
+       {std::pair{4, 6}, {8, 12}, {5, 7}, {2, 2}, {3, 1}}) {
+    std::vector<geo::Orientation> views = extra;
+    for (int k = 0; k <= cols; ++k) {
+      for (const double yaw : around(360.0 * k / cols - 180.0)) {
+        for (int m = 0; m <= rows; ++m) {
+          for (const double pitch : around(90.0 - 180.0 * m / rows)) {
+            for (const double roll : {0.0, 90.0, -45.0}) {
+              views.push_back({yaw, pitch, roll});
+            }
+          }
+        }
+      }
+    }
+    for (const int n : {2, 5, 24}) {
+      const auto geometry = equirect_geometry(rows, cols, n);
+      for (const geo::Viewport& viewport : viewports) {
+        for (const geo::Orientation& view : views) {
+          expect_matches_naive(*geometry, view, viewport, n, mismatches);
+        }
+      }
+    }
   }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(VisibleTilesEquivalence, OutParamMatchesAllocatingAcrossReuse) {
@@ -117,49 +137,50 @@ TEST(VisibleTilesEquivalence, OutParamMatchesAllocatingAcrossReuse) {
   }
 }
 
-TEST(VisibleTilesLut, ExactAtSnappedOrientationsAndBoundedOffGrid) {
+TEST(VisibleTilesEquivalence, DenseOneDegreeSweepMatchesNaive) {
   const geo::Viewport viewport{100.0, 90.0};
   const auto geometry = equirect_geometry(4, 6);
-  std::mt19937 rng(99);
-  std::uniform_real_distribution<double> yaw(-180.0, 180.0);
-  std::uniform_real_distribution<double> pitch(-90.0, 90.0);
-  for (int trial = 0; trial < 150; ++trial) {
-    const geo::Orientation view{yaw(rng), pitch(rng), 0.0};
-    const geo::Orientation snapped = geo::TileGeometry::lut_snap(view);
-    // The LUT answer is the *exact* visible set of the snapped orientation.
-    EXPECT_EQ(geometry->visible_tiles_lut(view, viewport),
-              geometry->visible_tiles(snapped, viewport));
-    // Quantization error bound: the snap moves yaw/pitch by at most half a
-    // LUT step (yaw modulo the wrap).
-    const double dyaw = std::abs(
-        angle_diff_deg(snapped.yaw_deg, view.normalized().yaw_deg));
-    EXPECT_LE(dyaw, geo::TileGeometry::kLutStepDeg / 2.0 + 1e-9);
-    EXPECT_LE(std::abs(snapped.pitch_deg - view.normalized().pitch_deg),
-              geo::TileGeometry::kLutStepDeg / 2.0 + 1e-9);
-  }
-  // On-grid orientations are their own snap: the LUT is exact there.
-  for (int iy = 0; iy < 120; iy += 13) {
-    for (int ip = 0; ip <= 60; ip += 7) {
-      const geo::Orientation on_grid{iy * 3.0 - 180.0, ip * 3.0 - 90.0, 0.0};
-      EXPECT_EQ(geo::TileGeometry::lut_snap(on_grid).yaw_deg,
-                on_grid.normalized().yaw_deg);
-      EXPECT_EQ(geometry->visible_tiles_lut(on_grid, viewport),
-                geometry->visible_tiles(on_grid, viewport));
+  int mismatches = 0;
+  for (int yaw = -180; yaw < 180; ++yaw) {
+    for (int pitch = -90; pitch <= 90; ++pitch) {
+      expect_matches_naive(*geometry, {1.0 * yaw, 1.0 * pitch, 0.0}, viewport,
+                           kSamplesPerAxis, mismatches);
     }
   }
+  EXPECT_EQ(mismatches, 0);
 }
 
-TEST(VisibleTilesLut, RollAndOtherViewportsFallBackExactly) {
-  const geo::Viewport bound{100.0, 90.0};
-  const geo::Viewport other{80.0, 70.0};
-  const auto geometry = equirect_geometry(4, 6);
-  (void)geometry->visible_tiles_lut({0.0, 0.0, 0.0}, bound);  // bind the LUT
-  const geo::Orientation rolled{41.0, 13.0, 25.0};
-  EXPECT_EQ(geometry->visible_tiles_lut(rolled, bound),
-            geometry->visible_tiles(rolled, bound));
-  const geo::Orientation view{41.0, 13.0, 0.0};
-  EXPECT_EQ(geometry->visible_tiles_lut(view, other),
-            geometry->visible_tiles(view, other));
+// The pre-hoisting solid-angle loop: a direction_from_lonlat call and the
+// generic uv_from_direction -> tile_at chain per sample.
+std::vector<double> naive_solid_angle_fractions(const geo::Projection& projection,
+                                                const geo::TileGrid& grid) {
+  const int kLonSamples = 256;
+  const int kLatSamples = 128;
+  std::vector<double> out(static_cast<std::size_t>(grid.tile_count()), 0.0);
+  for (int i = 0; i < kLonSamples; ++i) {
+    const double lon = (i + 0.5) / kLonSamples * 360.0 - 180.0;
+    for (int j = 0; j < kLatSamples; ++j) {
+      const double z = (j + 0.5) / kLatSamples * 2.0 - 1.0;
+      const double lat = rad_to_deg(std::asin(z));
+      const geo::Vec3 dir = geo::direction_from_lonlat(lon, lat);
+      out[static_cast<std::size_t>(grid.tile_at(projection.uv_from_direction(dir)))] += 1.0;
+    }
+  }
+  const double total = kLonSamples * static_cast<double>(kLatSamples);
+  for (double& f : out) f /= total;
+  return out;
+}
+
+TEST(SolidAngleEquivalence, HoistedBuildMatchesPerSampleLoop) {
+  for (const char* name : {"equirectangular", "cubemap", "offset-cubemap"}) {
+    for (const auto& [rows, cols] : {std::pair{4, 6}, {8, 12}, {5, 7}, {1, 1}}) {
+      const geo::TileGrid grid(rows, cols);
+      const geo::TileGeometry geometry(geo::make_projection(name), grid);
+      EXPECT_EQ(geometry.solid_angle_fractions(),
+                naive_solid_angle_fractions(geometry.projection(), grid))
+          << name << " " << rows << "x" << cols;
+    }
+  }
 }
 
 TEST(TilesByDistance, TiesBreakByAscendingTileId) {
