@@ -1,7 +1,10 @@
 // Transport abstraction between the streaming client and the network:
 // the client submits chunk requests tagged with the Table 1 priorities;
-// a transport delivers them over one link (SingleLinkTransport) or several
-// (mp::MultipathTransport).
+// a transport delivers them over one net::ChunkSource (SingleLinkTransport)
+// or one per path (mp::MultipathTransport). Both run every fetch attempt
+// through the same DispatchLane, so the attempt/retry/timeout lifecycle
+// exists once; the transports differ only in how many lanes they hold and
+// how requests are assigned to them.
 //
 // Failure recovery (DESIGN.md §10): with RecoveryPolicy::enabled a
 // transport retries failed transfers with exponential backoff under a
@@ -15,6 +18,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string_view>
+#include <vector>
 
 #include "abr/plan.h"
 #include "net/chunk_source.h"
@@ -89,6 +94,12 @@ struct TransportOptions {
   RecoveryPolicy recovery;
 };
 
+// Throws std::invalid_argument, prefixed with `field`, unless
+// max_retries >= 0, backoff_multiplier >= 1, path_failure_threshold >= 1
+// and probe_interval > 0. Checked whether or not the policy is enabled.
+void validate(const RecoveryPolicy& policy,
+              std::string_view field = "RecoveryPolicy");
+
 // Backoff before retry k (1-based): base_backoff * multiplier^(k-1).
 [[nodiscard]] sim::Duration retry_backoff(const RecoveryPolicy& policy,
                                           int retry_number);
@@ -113,33 +124,127 @@ class ChunkTransport {
   [[nodiscard]] virtual std::int64_t bytes_fetched() const = 0;
 };
 
-// Recovery metric handles, resolved once per transport when both telemetry
-// and recovery are on (so fault-free worlds keep their metric set).
-struct RecoveryMetrics {
+// Instruments one DispatchLane records into; null handles record nothing.
+// The recovery handles are bound iff telemetry and recovery are both on,
+// so fault-free worlds keep their metric set.
+struct LaneMetrics {
+  obs::Counter* bytes = nullptr;            // bytes delivered
+  obs::Histogram* queue_wait_ms = nullptr;  // enqueue -> dispatch
+  obs::Gauge* in_flight = nullptr;          // lane in_flight(), per settle
   obs::Counter* retries = nullptr;
   obs::Counter* timeouts = nullptr;
   obs::Counter* failed_requests = nullptr;
   obs::Counter* recovered_requests = nullptr;  // delivered after >= 1 retry
   obs::Histogram* recovery_latency_ms = nullptr;  // first dispatch -> delivery
 
-  void bind(obs::Telemetry& telemetry, const char* prefix);
+  void bind_recovery(obs::Telemetry& telemetry, const char* prefix);
 };
 
-// Queued dispatch over a single net::ChunkSource with bounded concurrency
-// — a direct link (net::LinkSource) or a CDN edge (cdn::EdgeSource); the
-// transport neither knows nor cares which topology serves its fetches.
-// Urgent requests jump the queue (ahead of non-urgent, behind other
-// urgent); ties keep FIFO order. Throughput is estimated aggregate-wise
-// across concurrent transfers (net::AggregateWindowEstimator).
+// The one fetch-attempt lifecycle (DESIGN.md §10): a class-ordered request
+// queue plus bounded-concurrency dispatch over one net::ChunkSource — a
+// direct link (net::LinkSource) or a CDN edge (cdn::EdgeSource).
+// SingleLinkTransport is one lane with classes {urgent, regular};
+// mp::MultipathTransport is one lane per path with classes = mp::rank().
 //
-// The wait queue is two seq-ascending deques (urgent / regular), so
-// admitting a request is O(1) instead of the former O(queue) scan +
-// erase — with thousands of queued tile requests per link that scan was
-// the single hottest path of the whole simulator (DESIGN.md §13). The
-// pop order (urgent first, then lowest submission seq) is exactly the
-// order the scan produced, so behaviour is byte-identical. Only a retry
-// re-enqueue, which carries an old seq, pays an ordered insert — O(queue)
-// worst case, and retries exist only in faulted worlds.
+// Requests pop lowest class first, then lowest submission seq. Each class
+// is a seq-ascending deque, so admitting a fresh request (the newest seq)
+// is O(1): with thousands of queued tile requests per link an O(queue)
+// scan here is the simulator's hottest path (DESIGN.md §13). Only a retry
+// or failover, which carries an old seq, pays an ordered insert, and those
+// exist only in faulted worlds.
+class DispatchLane {
+ public:
+  struct Pending {
+    ChunkRequest request;
+    std::uint64_t seq = 0;  // submission order; lower pops first in a class
+    sim::Time enqueued{sim::kTimeZero};
+    sim::Time first_dispatched{sim::kTimeZero};
+    int attempts = 0;         // completed (failed) dispatch attempts so far
+    std::uint8_t cls = 0;     // queue class; lower pops first
+    bool best_effort = false; // dropped, not dispatched, once past deadline
+    bool settled = false;     // guards the timeout event against re-fire
+  };
+
+  // What a multi-lane transport adds around the lifecycle. A lane without
+  // an owner re-enqueues its retries on itself.
+  class Owner {
+   public:
+    // Every settled attempt, after its end span and before the lane acts
+    // on the outcome (delivery, timeout or retry).
+    virtual void attempt_settled(DispatchLane& lane, const ChunkRequest& request,
+                                 const net::TransferResult& result) = 0;
+    // A best-effort request was dropped at its deadline, before dispatch.
+    virtual void best_effort_dropped() = 0;
+    // The lane a retry re-enqueues on once its backoff has elapsed.
+    virtual DispatchLane& retry_lane(DispatchLane& lane) = 0;
+
+   protected:
+    ~Owner() = default;
+  };
+
+  // `source`, `options` and `owner` must outlive the lane. `classes` is the
+  // number of queue classes; `path` labels the lane's attempt spans (-1 for
+  // none).
+  DispatchLane(net::ChunkSource& source, const TransportOptions& options,
+               std::size_t classes, Owner* owner = nullptr,
+               std::int32_t path = -1);
+  ~DispatchLane();
+  DispatchLane(const DispatchLane&) = delete;
+  DispatchLane& operator=(const DispatchLane&) = delete;
+
+  // Queue `pending` in class `pending.cls` at its seq position, stamped with
+  // the current time.
+  void enqueue(Pending pending);
+  // Dispatch queued requests while below max_concurrent (none while paused).
+  void pump();
+  // Move every queued request matching `pred` onto `target` (failover);
+  // returns how many moved.
+  int move_queued_if(DispatchLane& target, bool (*pred)(const ChunkRequest&));
+
+  void set_paused(bool paused) { paused_ = paused; }
+  [[nodiscard]] bool paused() const { return paused_; }
+
+  [[nodiscard]] int active() const { return active_; }
+  [[nodiscard]] std::size_t queued() const;
+  // Accepted and not yet settled: active + queued + parked in a backoff.
+  [[nodiscard]] int in_flight() const {
+    return active_ + static_cast<int>(queued()) + retry_waiting_;
+  }
+  // Bytes queued or on the wire (retries parked in a backoff excluded).
+  [[nodiscard]] std::int64_t outstanding_bytes() const {
+    return queued_bytes_ + active_bytes_;
+  }
+  [[nodiscard]] double estimated_kbps() const { return estimator_.estimate_kbps(); }
+  [[nodiscard]] std::int64_t bytes_fetched() const { return bytes_fetched_; }
+  [[nodiscard]] std::int32_t path() const { return path_; }
+  [[nodiscard]] LaneMetrics& metrics() { return metrics_; }
+
+ private:
+  void settle(const std::shared_ptr<Pending>& flight, sim::Time started,
+              const net::TransferResult& result);
+  void finish_without_delivery(ChunkRequest& request, sim::Time when,
+                               FetchOutcome outcome);
+
+  net::ChunkSource& source_;
+  const TransportOptions& options_;
+  Owner* owner_;
+  std::int32_t path_;
+  LaneMetrics metrics_;
+  net::AggregateWindowEstimator estimator_;
+  // One deque per class, each strictly seq-ascending front-to-back.
+  std::vector<std::deque<Pending>> queues_;
+  bool paused_ = false;
+  int active_ = 0;
+  int retry_waiting_ = 0;  // retries parked in a backoff wait
+  std::int64_t queued_bytes_ = 0;
+  std::int64_t active_bytes_ = 0;
+  std::int64_t bytes_fetched_ = 0;
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+};
+
+// One DispatchLane over a single net::ChunkSource, with two classes:
+// urgent requests jump the queue (ahead of non-urgent, behind other
+// urgent); ties keep FIFO order.
 class SingleLinkTransport final : public ChunkTransport {
  public:
   // `source` must outlive the transport.
@@ -147,50 +252,21 @@ class SingleLinkTransport final : public ChunkTransport {
                                TransportOptions options = {});
 
   void fetch(ChunkRequest request) override;
-  [[nodiscard]] double estimated_kbps() const override;
-  [[nodiscard]] int in_flight() const override;
-  [[nodiscard]] std::int64_t bytes_fetched() const override { return bytes_fetched_; }
+  [[nodiscard]] double estimated_kbps() const override {
+    return lane_.estimated_kbps();
+  }
+  [[nodiscard]] int in_flight() const override { return lane_.in_flight(); }
+  [[nodiscard]] std::int64_t bytes_fetched() const override {
+    return lane_.bytes_fetched();
+  }
 
   [[nodiscard]] const TransportOptions& options() const { return options_; }
 
  private:
-  struct Pending {
-    ChunkRequest request;
-    std::uint64_t seq = 0;
-    sim::Time enqueued{sim::kTimeZero};
-    int attempts = 0;  // completed (failed) dispatch attempts so far
-    sim::Time first_dispatched{sim::kTimeZero};
-    bool settled = false;  // guards the timeout event against re-fire
-  };
-
-  void pump();
-  void finish_without_delivery(ChunkRequest& request, sim::Time when,
-                               FetchOutcome outcome);
-  // Re-queue a retry whose seq predates the queue tails (ordered insert).
-  void enqueue_retry(Pending pending);
-  [[nodiscard]] std::size_t queued() const {
-    return urgent_queue_.size() + regular_queue_.size();
-  }
-
-  net::ChunkSource& source_;
   TransportOptions options_;
   obs::Counter* requests_metric_ = nullptr;
-  obs::Counter* bytes_metric_ = nullptr;
-  obs::Histogram* queue_wait_ms_metric_ = nullptr;
-  obs::Gauge* in_flight_metric_ = nullptr;
-  RecoveryMetrics recovery_metrics_;
-  net::AggregateWindowEstimator estimator_;
-  // Both deques hold strictly ascending seq values front-to-back.
-  std::deque<Pending> urgent_queue_;
-  std::deque<Pending> regular_queue_;
   std::uint64_t next_seq_ = 0;
-  int active_ = 0;
-  int retry_waiting_ = 0;  // retries parked in a backoff wait
-  std::int64_t bytes_fetched_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-
- public:
-  ~SingleLinkTransport() override;
+  DispatchLane lane_;
 };
 
 }  // namespace sperke::core

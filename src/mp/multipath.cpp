@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -119,38 +120,31 @@ MultipathTransport::MultipathTransport(sim::Simulator& simulator,
                                        std::unique_ptr<PathScheduler> scheduler,
                                        core::TransportOptions options)
     : simulator_(simulator),
-      scheduler_(std::move(scheduler)),
       options_(std::move(options)),
+      scheduler_(std::move(scheduler)),
       telemetry_(options_.telemetry) {
   if (links.empty()) throw std::invalid_argument("MultipathTransport: no links");
   if (!scheduler_) throw std::invalid_argument("MultipathTransport: null scheduler");
   if (options_.max_concurrent < 1) {
     throw std::invalid_argument("MultipathTransport: max_concurrent < 1");
   }
-  if (options_.recovery.enabled) {
-    if (options_.recovery.max_retries < 0) {
-      throw std::invalid_argument("RecoveryPolicy: negative retry budget");
-    }
-    if (options_.recovery.path_failure_threshold < 1) {
-      throw std::invalid_argument("RecoveryPolicy: path_failure_threshold < 1");
-    }
-  }
+  core::validate(options_.recovery);
   for (net::Link* link : links) {
     if (link == nullptr) throw std::invalid_argument("MultipathTransport: null link");
-    Path path;
-    path.link = link;
+    Path& path = paths_.emplace_back(
+        *link, options_, static_cast<core::DispatchLane::Owner&>(*this),
+        static_cast<std::int32_t>(paths_.size()));
     if (telemetry_ != nullptr) {
       // "mp.pathN.*": a fixed suffix set under a path-indexed prefix, still
       // within the [a-z0-9_.]+ name style sperke_lint enforces.
-      const std::string prefix = "mp.path" + std::to_string(paths_.size());
+      const std::string prefix = "mp.path" + std::to_string(paths_.size() - 1);
       path.requests_metric = &telemetry_->metrics().counter(prefix + ".requests");  // sperke-lint: allow(metric-name)
-      path.bytes_metric = &telemetry_->metrics().counter(prefix + ".bytes");  // sperke-lint: allow(metric-name)
+      path.lane.metrics().bytes = &telemetry_->metrics().counter(prefix + ".bytes");  // sperke-lint: allow(metric-name)
       if (options_.recovery.enabled) {
         path.down_events_metric =
             &telemetry_->metrics().counter(prefix + ".down_events");  // sperke-lint: allow(metric-name)
       }
     }
-    paths_.push_back(std::move(path));
   }
   if (telemetry_ != nullptr) {
     for (std::size_t r = 0; r < class_metrics_.size(); ++r) {
@@ -162,7 +156,8 @@ MultipathTransport::MultipathTransport(sim::Simulator& simulator,
     // Recovery metrics exist iff recovery is on, so fault-free worlds keep
     // their exact pre-fault metric set.
     if (options_.recovery.enabled) {
-      recovery_metrics_.bind(*telemetry_, "mp");
+      // One "mp.*" set shared by every lane (registration is get-or-create).
+      for (Path& path : paths_) path.lane.metrics().bind_recovery(*telemetry_, "mp");
       failovers_metric_ = &telemetry_->metrics().counter("mp.failovers");
       path_downtime_metric_ = &telemetry_->metrics().histogram("mp.path_downtime_s");
     }
@@ -178,12 +173,11 @@ std::vector<PathState> MultipathTransport::snapshot() const {
   out.reserve(paths_.size());
   for (const Path& path : paths_) {
     PathState state;
-    state.link = path.link;
-    state.estimated_kbps = path.estimator.estimate_kbps();
-    state.queued_bytes = path.in_flight_bytes;
-    for (const Pending& p : path.queue) state.queued_bytes += p.request.bytes;
-    state.queued_requests = path.active + static_cast<int>(path.queue.size());
-    state.quality_score = quality_of(*path.link);
+    state.link = &path.source.link();
+    state.estimated_kbps = path.lane.estimated_kbps();
+    state.queued_bytes = path.lane.outstanding_bytes();
+    state.queued_requests = path.lane.active() + static_cast<int>(path.lane.queued());
+    state.quality_score = quality_of(*state.link);
     out.push_back(state);
   }
   return out;
@@ -196,19 +190,19 @@ void MultipathTransport::fetch(core::ChunkRequest request) {
     // attempt spans always have a request to nest under.
     request.request_id = telemetry_->next_request_id();
   }
-  const PriorityClass priority = classify(request);
-  ++stats_.class_counts[static_cast<std::size_t>(rank(priority))];
+  const int priority = rank(classify(request));
+  ++stats_.class_counts[static_cast<std::size_t>(priority)];
   std::size_t index = scheduler_->pick(request, snapshot());
   if (index >= paths_.size()) throw std::out_of_range("scheduler picked bad path");
   // Route around a path currently declared down (recovery only; without
   // recovery no path is ever down).
-  if (paths_[index].down) {
+  if (paths_[index].lane.paused()) {
     const std::size_t up = best_up_path();
     if (up < paths_.size()) index = up;
   }
   ++stats_.requests_per_path[index];
   if (telemetry_ != nullptr) {
-    class_metrics_[static_cast<std::size_t>(rank(priority))]->increment();
+    class_metrics_[static_cast<std::size_t>(priority)]->increment();
     paths_[index].requests_metric->increment();
     telemetry_->trace().record(
         {.type = obs::TraceEventType::kPathAssigned,
@@ -219,38 +213,64 @@ void MultipathTransport::fetch(core::ChunkRequest request) {
          .path = static_cast<std::int32_t>(index),
          .bytes = request.bytes,
          .urgent = request.urgent,
-         .value = static_cast<double>(rank(priority)),
+         .value = static_cast<double>(priority),
          .request = request.request_id,
          .parent = request.parent_id});
   }
-  Pending pending;
-  pending.best_effort = scheduler_->best_effort(request);
-  pending.request = std::move(request);
-  pending.seq = next_seq_++;
-  paths_[index].queue.push_back(std::move(pending));
-  pump(index);
+  const bool best_effort = scheduler_->best_effort(request);
+  core::DispatchLane& lane = paths_[index].lane;
+  // The lane pops by (rank, seq): Table 1 priority first, FIFO within it.
+  lane.enqueue({.request = std::move(request),
+                .seq = next_seq_++,
+                .cls = static_cast<std::uint8_t>(priority),
+                .best_effort = best_effort});
+  lane.pump();
 }
 
-void MultipathTransport::finish_without_delivery(core::ChunkRequest& request,
-                                                 sim::Time when,
-                                                 core::FetchOutcome outcome) {
-  if (outcome == core::FetchOutcome::kFailed &&
-      recovery_metrics_.failed_requests != nullptr) {
-    recovery_metrics_.failed_requests->increment();
+void MultipathTransport::attempt_settled(core::DispatchLane& lane,
+                                         const core::ChunkRequest& request,
+                                         const net::TransferResult& result) {
+  const auto index = static_cast<std::size_t>(lane.path());
+  Path& path = paths_[index];
+  if (result.completed()) {
+    path.consecutive_failures = 0;
+    stats_.bytes_per_path[index] += request.bytes;
+    return;
   }
-  if (outcome == core::FetchOutcome::kTimedOut &&
-      recovery_metrics_.timeouts != nullptr) {
-    recovery_metrics_.timeouts->increment();
+  // Only the lane's own deadline timeout cancels; it says nothing about
+  // the path.
+  if (result.status == net::TransferStatus::kCancelled) return;
+  // Injected fault: feed path-failure detection before the lane decides on
+  // a retry, so the retry sees the path's new state.
+  ++path.consecutive_failures;
+  if (options_.recovery.enabled && !lane.paused() &&
+      (path.consecutive_failures >= options_.recovery.path_failure_threshold ||
+       path.source.link().in_outage())) {
+    mark_down(index);
   }
-  if (request.on_done) request.on_done(when, outcome);
+}
+
+void MultipathTransport::best_effort_dropped() {
+  ++stats_.dropped_best_effort;
+  if (dropped_metric_ != nullptr) dropped_metric_->increment();
+}
+
+core::DispatchLane& MultipathTransport::retry_lane(core::DispatchLane& lane) {
+  // Reroute a retry away from a path that is down, if any path is up.
+  if (!lane.paused()) return lane;
+  const std::size_t up = best_up_path();
+  if (up == paths_.size()) return lane;
+  ++stats_.failovers;
+  if (failovers_metric_ != nullptr) failovers_metric_->increment();
+  return paths_[up].lane;
 }
 
 std::size_t MultipathTransport::best_up_path() const {
   std::size_t best = paths_.size();
   double best_score = -1.0;
   for (std::size_t i = 0; i < paths_.size(); ++i) {
-    if (paths_[i].down) continue;
-    const double score = quality_of(*paths_[i].link);
+    if (paths_[i].lane.paused()) continue;
+    const double score = quality_of(paths_[i].source.link());
     if (score > best_score) {
       best_score = score;
       best = i;
@@ -261,7 +281,7 @@ std::size_t MultipathTransport::best_up_path() const {
 
 void MultipathTransport::mark_down(std::size_t path_index) {
   Path& path = paths_[path_index];
-  path.down = true;
+  path.lane.set_paused(true);
   path.down_since = simulator_.now();
   ++stats_.path_down_events;
   if (path.down_events_metric != nullptr) path.down_events_metric->increment();
@@ -269,20 +289,13 @@ void MultipathTransport::mark_down(std::size_t path_index) {
   // prefetch waits for recovery (abandon OOS first).
   const std::size_t up = best_up_path();
   if (up < paths_.size()) {
-    auto& q = path.queue;
-    for (auto it = q.begin(); it != q.end();) {
-      const bool critical =
-          it->request.urgent || it->request.spatial == abr::SpatialClass::kFov;
-      if (critical) {
-        ++stats_.failovers;
-        if (failovers_metric_ != nullptr) failovers_metric_->increment();
-        paths_[up].queue.push_back(std::move(*it));
-        it = q.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    pump(up);
+    const int moved = path.lane.move_queued_if(
+        paths_[up].lane, [](const core::ChunkRequest& request) {
+          return request.urgent || request.spatial == abr::SpatialClass::kFov;
+        });
+    stats_.failovers += moved;
+    if (failovers_metric_ != nullptr) failovers_metric_->add(moved);
+    paths_[up].lane.pump();
   }
   simulator_.schedule_after(options_.recovery.probe_interval,
                             [this, alive = alive_, path_index] {
@@ -293,8 +306,8 @@ void MultipathTransport::mark_down(std::size_t path_index) {
 
 void MultipathTransport::probe_path(std::size_t path_index) {
   Path& path = paths_[path_index];
-  if (!path.down) return;
-  if (path.link->in_outage()) {
+  if (!path.lane.paused()) return;
+  if (path.source.link().in_outage()) {
     // Still dark; probe again later.
     simulator_.schedule_after(options_.recovery.probe_interval,
                               [this, alive = alive_, path_index] {
@@ -303,181 +316,14 @@ void MultipathTransport::probe_path(std::size_t path_index) {
                               });
     return;
   }
-  path.down = false;
+  path.lane.set_paused(false);
   // Probation: one more failure sends the path straight back down.
   path.consecutive_failures =
       std::max(0, options_.recovery.path_failure_threshold - 1);
   const double downtime_s = sim::to_seconds(simulator_.now() - path.down_since);
   stats_.path_downtime_s += downtime_s;
   if (path_downtime_metric_ != nullptr) path_downtime_metric_->observe(downtime_s);
-  pump(path_index);
-}
-
-void MultipathTransport::requeue_retry(std::shared_ptr<Pending> flight,
-                                       std::size_t path_index) {
-  std::size_t target = path_index;
-  if (paths_[target].down) {
-    const std::size_t up = best_up_path();
-    if (up < paths_.size()) {
-      target = up;
-      ++stats_.failovers;
-      if (failovers_metric_ != nullptr) failovers_metric_->increment();
-    }
-  }
-  paths_[target].queue.push_back(std::move(*flight));
-  pump(target);
-}
-
-void MultipathTransport::pump(std::size_t path_index) {
-  Path& path = paths_[path_index];
-  if (path.down) return;  // queued work waits for probe recovery
-  while (path.active < options_.max_concurrent && !path.queue.empty()) {
-    // Highest priority first (rank ascending), FIFO within a rank.
-    auto best = path.queue.begin();
-    for (auto it = std::next(path.queue.begin()); it != path.queue.end(); ++it) {
-      const int r_it = rank(classify(it->request));
-      const int r_best = rank(classify(best->request));
-      if (r_it < r_best || (r_it == r_best && it->seq < best->seq)) best = it;
-    }
-    Pending pending = std::move(*best);
-    path.queue.erase(best);
-
-    // Best-effort requests that already blew their deadline are dropped
-    // before wasting path capacity.
-    if (pending.best_effort && pending.request.deadline <= simulator_.now()) {
-      ++stats_.dropped_best_effort;
-      if (telemetry_ != nullptr) dropped_metric_->increment();
-      if (pending.request.on_done) {
-        pending.request.on_done(simulator_.now(), core::FetchOutcome::kDropped);
-      }
-      continue;
-    }
-    // A retry never starts at or past the playback deadline.
-    if (pending.attempts > 0 && pending.request.deadline <= simulator_.now()) {
-      finish_without_delivery(pending.request, simulator_.now(),
-                              core::FetchOutcome::kTimedOut);
-      continue;
-    }
-
-    ++path.active;
-    path.in_flight_bytes += pending.request.bytes;
-    const sim::Time started = simulator_.now();
-    const std::int64_t bytes = pending.request.bytes;
-    // Stream weights mirror the Table 1 ranking within a path.
-    const double weight =
-        (pending.request.urgent ? 4.0 : 1.0) *
-        (pending.request.spatial == abr::SpatialClass::kFov ? 2.0 : 1.0);
-    if (pending.attempts == 0) pending.first_dispatched = started;
-    pending.settled = false;
-    auto holder = std::make_shared<Pending>(std::move(pending));
-    if (telemetry_ != nullptr) {
-      telemetry_->trace().record(
-          {.type = obs::TraceEventType::kFetchAttemptStart,
-           .ts = started,
-           .tile = holder->request.id.tile,
-           .chunk = holder->request.id.chunk,
-           .quality = holder->request.id.level(),
-           .path = static_cast<std::int32_t>(path_index),
-           .bytes = bytes,
-           .urgent = holder->request.urgent,
-           .value = static_cast<double>(holder->attempts),
-           .request = holder->request.request_id,
-           .parent = holder->request.parent_id});
-    }
-    const net::TransferId id = path.link->start_transfer(
-        bytes,
-        [this, alive = alive_, path_index, holder, started,
-         bytes](const net::TransferResult& r) {
-          if (!*alive) return;
-          holder->settled = true;
-          Path& p = paths_[path_index];
-          --p.active;
-          p.in_flight_bytes -= bytes;
-          if (telemetry_ != nullptr) {
-            telemetry_->trace().record(
-                {.type = obs::TraceEventType::kFetchAttemptEnd,
-                 .ts = r.time,
-                 .tile = holder->request.id.tile,
-                 .chunk = holder->request.id.chunk,
-                 .quality = holder->request.id.level(),
-                 .path = static_cast<std::int32_t>(path_index),
-                 .bytes = r.completed() ? bytes : 0,
-                 .urgent = holder->request.urgent,
-                 .value = static_cast<double>(holder->attempts),
-                 .request = holder->request.request_id,
-                 .parent = holder->request.parent_id});
-          }
-          if (r.completed()) {
-            p.consecutive_failures = 0;
-            // Aggregate-wise goodput from the start of data flow.
-            p.estimator.record(started + p.link->rtt(), r.time, bytes);
-            bytes_fetched_ += bytes;
-            stats_.bytes_per_path[path_index] += bytes;
-            if (p.bytes_metric != nullptr) p.bytes_metric->add(bytes);
-            if (holder->attempts > 0 &&
-                recovery_metrics_.recovered_requests != nullptr) {
-              recovery_metrics_.recovered_requests->increment();
-              recovery_metrics_.recovery_latency_ms->observe(
-                  sim::to_milliseconds(r.time - holder->first_dispatched));
-            }
-            if (holder->request.on_done) {
-              holder->request.on_done(r.time, core::FetchOutcome::kDelivered);
-            }
-            pump(path_index);
-            return;
-          }
-          if (r.status == net::TransferStatus::kCancelled) {
-            // Only our own deadline timeout cancels transfers.
-            finish_without_delivery(holder->request, r.time,
-                                    core::FetchOutcome::kTimedOut);
-            pump(path_index);
-            return;
-          }
-          // Injected fault (kFailed): feed path-failure detection, then
-          // retry under the shared budget/deadline gates.
-          ++p.consecutive_failures;
-          if (options_.recovery.enabled && !p.down &&
-              (p.consecutive_failures >=
-                   options_.recovery.path_failure_threshold ||
-               p.link->in_outage())) {
-            mark_down(path_index);
-          }
-          const sim::Duration backoff =
-              core::retry_backoff(options_.recovery, holder->attempts + 1);
-          const bool budget_left = core::retry_allowed(
-              options_.recovery, holder->request, holder->attempts);
-          const bool deadline_left = r.time + backoff < holder->request.deadline;
-          if (budget_left && deadline_left) {
-            ++holder->attempts;
-            if (recovery_metrics_.retries != nullptr) {
-              recovery_metrics_.retries->increment();
-            }
-            ++retry_waiting_;
-            simulator_.schedule_after(
-                backoff, [this, alive2 = alive_, holder, path_index] {
-                  if (!*alive2) return;
-                  --retry_waiting_;
-                  requeue_retry(holder, path_index);
-                });
-          } else {
-            finish_without_delivery(holder->request, r.time,
-                                    budget_left ? core::FetchOutcome::kTimedOut
-                                                : core::FetchOutcome::kFailed);
-          }
-          pump(path_index);
-        },
-        weight);
-    if (options_.recovery.enabled) {
-      // Deadline-derived timeout on the in-flight transfer.
-      const sim::Time timeout_at = std::max(
-          holder->request.deadline, started + options_.recovery.min_timeout);
-      net::Link* link = path.link;
-      simulator_.schedule_at(timeout_at, [alive = alive_, holder, link, id] {
-        if (!*alive || holder->settled) return;
-        link->cancel(id);  // fires the kCancelled completion synchronously
-      });
-    }
-  }
+  path.lane.pump();
 }
 
 double MultipathTransport::estimated_kbps() const {
@@ -485,19 +331,23 @@ double MultipathTransport::estimated_kbps() const {
   // paths that have not carried traffic yet.
   double total = 0.0;
   for (const Path& path : paths_) {
-    const double est = path.estimator.estimate_kbps();
+    const double est = path.lane.estimated_kbps();
+    const net::Link& link = path.source.link();
     total += est > 0.0 ? est
-                       : std::min(path.link->capacity_kbps_now(),
-                                  path.link->mathis_cap_kbps());
+                       : std::min(link.capacity_kbps_now(), link.mathis_cap_kbps());
   }
   return total;
 }
 
 int MultipathTransport::in_flight() const {
-  int total = retry_waiting_;
-  for (const Path& path : paths_) {
-    total += path.active + static_cast<int>(path.queue.size());
-  }
+  int total = 0;
+  for (const Path& path : paths_) total += path.lane.in_flight();
+  return total;
+}
+
+std::int64_t MultipathTransport::bytes_fetched() const {
+  std::int64_t total = 0;
+  for (const Path& path : paths_) total += path.lane.bytes_fetched();
   return total;
 }
 

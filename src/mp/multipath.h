@@ -1,9 +1,15 @@
 // Multipath streaming support (§3.3).
 //
-// A MultipathTransport runs one queue per network path (e.g. WiFi + LTE);
-// paths are fully decoupled, so there is no cross-path head-of-line
+// A MultipathTransport runs one core::DispatchLane per network path (e.g.
+// WiFi + LTE), each fetching through a net::LinkSource on its link, so the
+// attempt/retry/timeout lifecycle is the one SingleLinkTransport runs.
+// Paths are fully decoupled, so there is no cross-path head-of-line
 // blocking by construction (the transport-layer benefit the paper notes).
-// The pluggable PathScheduler decides which path serves each request:
+// What is multipath lives here: the pluggable PathScheduler decides which
+// path serves each request, lanes order their queues by Table 1 rank,
+// best-effort requests are dropped at their deadline, and with recovery on
+// consecutive failures mark a path down, fail its work over and probe it
+// back into service.
 //
 //   * MinRttScheduler    — content-agnostic splitting: earliest-available
 //                          path by queue drain time (the MPTCP baseline);
@@ -19,14 +25,15 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string_view>
 #include <vector>
 
 #include "core/transport.h"
 #include "mp/priority.h"
+#include "net/chunk_source.h"
 #include "net/link.h"
-#include "net/throughput_estimator.h"
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
 
@@ -107,7 +114,8 @@ struct MultipathStats {
   double path_downtime_s = 0.0;  // total down-time across paths (recovered)
 };
 
-class MultipathTransport final : public core::ChunkTransport {
+class MultipathTransport final : public core::ChunkTransport,
+                                 private core::DispatchLane::Owner {
  public:
   // Links must outlive the transport; all links must share one simulator.
   // `options.max_concurrent` is the per-path concurrency (default 2 per
@@ -127,66 +135,61 @@ class MultipathTransport final : public core::ChunkTransport {
   void fetch(core::ChunkRequest request) override;
   [[nodiscard]] double estimated_kbps() const override;
   [[nodiscard]] int in_flight() const override;
-  [[nodiscard]] std::int64_t bytes_fetched() const override { return bytes_fetched_; }
+  [[nodiscard]] std::int64_t bytes_fetched() const override;
 
   [[nodiscard]] const MultipathStats& stats() const { return stats_; }
   [[nodiscard]] const PathScheduler& scheduler() const { return *scheduler_; }
   [[nodiscard]] const core::TransportOptions& options() const { return options_; }
   [[nodiscard]] bool path_down(std::size_t path_index) const {
-    return paths_.at(path_index).down;
+    return paths_.at(path_index).lane.paused();
   }
 
  private:
-  struct Pending {
-    core::ChunkRequest request;
-    std::uint64_t seq = 0;
-    bool best_effort = false;
-    int attempts = 0;  // completed (failed) dispatch attempts so far
-    sim::Time first_dispatched{sim::kTimeZero};
-    bool settled = false;  // guards the timeout event against re-fire
-  };
+  // One network path: its link's ChunkSource and the lane dispatching on
+  // it; the lane is paused while the path is down.
   struct Path {
-    net::Link* link = nullptr;
-    net::AggregateWindowEstimator estimator;
-    std::vector<Pending> queue;
-    int active = 0;
-    std::int64_t in_flight_bytes = 0;
+    // One lane queue class per Table 1 rank (rank() is 0..3).
+    Path(net::Link& link, const core::TransportOptions& options,
+         core::DispatchLane::Owner& owner, std::int32_t index)
+        : source(link), lane(source, options, 4, &owner, index) {}
+
+    net::LinkSource source;
+    core::DispatchLane lane;
     obs::Counter* requests_metric = nullptr;  // set iff telemetry attached
-    obs::Counter* bytes_metric = nullptr;
     // Path-failure detection state (RecoveryPolicy::enabled only).
     int consecutive_failures = 0;
-    bool down = false;
     sim::Time down_since{sim::kTimeZero};
     obs::Counter* down_events_metric = nullptr;
   };
 
+  // core::DispatchLane::Owner: path-failure detection, drop accounting and
+  // retry rerouting around down paths.
+  void attempt_settled(core::DispatchLane& lane, const core::ChunkRequest& request,
+                       const net::TransferResult& result) override;
+  void best_effort_dropped() override;
+  core::DispatchLane& retry_lane(core::DispatchLane& lane) override;
+
   [[nodiscard]] std::vector<PathState> snapshot() const;
-  void pump(std::size_t path_index);
-  void finish_without_delivery(core::ChunkRequest& request, sim::Time when,
-                               core::FetchOutcome outcome);
   // Declare `path_index` down, fail queued FoV/urgent work over to the best
   // surviving path, and start probing for recovery.
   void mark_down(std::size_t path_index);
   void probe_path(std::size_t path_index);
   // Best up path by quality score, or paths_.size() if every path is down.
   [[nodiscard]] std::size_t best_up_path() const;
-  // Requeue a failed request after backoff, rerouting away from down paths.
-  void requeue_retry(std::shared_ptr<Pending> flight, std::size_t path_index);
 
   sim::Simulator& simulator_;
-  std::vector<Path> paths_;
-  std::unique_ptr<PathScheduler> scheduler_;
   core::TransportOptions options_;
+  // A deque keeps each Path (and the lane callbacks pointing into it) at a
+  // fixed address.
+  std::deque<Path> paths_;
+  std::unique_ptr<PathScheduler> scheduler_;
   std::uint64_t next_seq_ = 0;
-  int retry_waiting_ = 0;  // retries parked in a backoff wait
-  std::int64_t bytes_fetched_ = 0;
   MultipathStats stats_;
   obs::Telemetry* telemetry_ = nullptr;
   // Table 1 class counters, indexed by rank(); mirror stats_.class_counts.
   std::array<obs::Counter*, 4> class_metrics_{};
   obs::Counter* dropped_metric_ = nullptr;
   // Recovery metrics, bound iff telemetry && recovery.enabled.
-  core::RecoveryMetrics recovery_metrics_;
   obs::Counter* failovers_metric_ = nullptr;
   obs::Histogram* path_downtime_metric_ = nullptr;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -128,6 +128,7 @@ class LinkSource final : public ChunkSource {
   }
 
   [[nodiscard]] Link& link() { return link_; }
+  [[nodiscard]] const Link& link() const { return link_; }
 
  private:
   Link& link_;

@@ -183,6 +183,19 @@ TEST_F(TransportTest, RejectsBadRequests) {
   EXPECT_THROW(SingleLinkTransport(source, bad_retries), std::invalid_argument);
 }
 
+TEST_F(TransportTest, RejectsPathPolicyFieldsToo) {
+  // One RecoveryPolicy validation for every transport: the path-failure
+  // fields are checked here even though a single link never goes down.
+  TransportOptions bad_threshold;
+  bad_threshold.recovery.enabled = true;
+  bad_threshold.recovery.path_failure_threshold = 0;
+  EXPECT_THROW(SingleLinkTransport(source, bad_threshold), std::invalid_argument);
+  TransportOptions bad_probe;
+  bad_probe.recovery.enabled = true;
+  bad_probe.recovery.probe_interval = sim::Duration{0};
+  EXPECT_THROW(SingleLinkTransport(source, bad_probe), std::invalid_argument);
+}
+
 TEST(TransportRecovery, BackoffGrowsGeometrically) {
   RecoveryPolicy policy;
   policy.base_backoff = sim::milliseconds(100);

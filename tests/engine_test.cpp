@@ -437,6 +437,20 @@ TEST(Engine, ValidateRejectsBadSpecs) {
   EXPECT_THROW(engine::ShardedEngine{spec}, std::invalid_argument);
 }
 
+TEST(Engine, ValidateNamesBadTransportRecovery) {
+  // Fails up front in validate(), not later inside a shard thread.
+  engine::WorldSpec spec = small_world(1);
+  spec.transport_recovery.enabled = true;
+  spec.transport_recovery.max_retries = -1;
+  try {
+    engine::validate(spec);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("transport_recovery"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Engine, ShardErrorsPropagateToCaller) {
   engine::WorldSpec spec = small_world(6);
   // Session 13 (group 3 -> shard 3) gets an invalid config; the worker

@@ -5,7 +5,9 @@
 // Single-link worlds are described as engine::WorldSpec and run through
 // engine::ShardedEngine — the declarative path shared with the benches and
 // examples. Multipath topologies are not (yet) part of the engine's link
-// model and keep wiring the simulator directly.
+// model and keep wiring the simulator directly; their transport still
+// fetches through a net::LinkSource per path on the same core dispatch
+// lane as the single-link worlds.
 #include <gtest/gtest.h>
 
 #include <memory>
