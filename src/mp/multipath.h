@@ -169,7 +169,6 @@ class MultipathTransport final : public core::ChunkTransport,
   void best_effort_dropped() override;
   core::DispatchLane& retry_lane(core::DispatchLane& lane) override;
 
-  [[nodiscard]] std::vector<PathState> snapshot() const;
   // Declare `path_index` down, fail queued FoV/urgent work over to the best
   // surviving path, and start probing for recovery.
   void mark_down(std::size_t path_index);
@@ -183,6 +182,8 @@ class MultipathTransport final : public core::ChunkTransport,
   // fixed address.
   std::deque<Path> paths_;
   std::unique_ptr<PathScheduler> scheduler_;
+  // The scheduler's view of paths_, refilled in place on every fetch.
+  std::vector<PathState> path_states_;
   std::uint64_t next_seq_ = 0;
   MultipathStats stats_;
   obs::Telemetry* telemetry_ = nullptr;
