@@ -32,8 +32,8 @@ int main() {
       core::SessionConfig agnostic;
       agnostic.planner = core::PlannerMode::kFovAgnostic;
       agnostic.abr.sperke.regular_vra = guided.abr.sperke.regular_vra;
-      const auto g = run_vod(bandwidth, guided, 100 + user);
-      const auto a = run_vod(bandwidth, agnostic, 100 + user);
+      const auto g = run_vod(bandwidth, guided, standard_trace(100 + user));
+      const auto a = run_vod(bandwidth, agnostic, standard_trace(100 + user));
       guided_mb.add(static_cast<double>(g.qoe.bytes_downloaded) / 1e6);
       agnostic_mb.add(static_cast<double>(a.qoe.bytes_downloaded) / 1e6);
       guided_waste.add(100.0 * static_cast<double>(g.qoe.bytes_wasted) /
@@ -67,8 +67,8 @@ int main() {
     core::SessionConfig agnostic;
     agnostic.planner = core::PlannerMode::kFovAgnostic;
     agnostic.abr.sperke.regular_vra = "fixed-2";
-    const auto g = run_vod(bandwidth, guided, 150, nullptr, video);
-    const auto a = run_vod(bandwidth, agnostic, 150, nullptr, video);
+    const auto g = run_vod(bandwidth, guided, standard_trace(150), nullptr, video);
+    const auto a = run_vod(bandwidth, agnostic, standard_trace(150), nullptr, video);
     const double g_mb = static_cast<double>(g.qoe.bytes_downloaded) / 1e6;
     const double a_mb = static_cast<double>(a.qoe.bytes_downloaded) / 1e6;
     grid_table.add_row({std::to_string(rows) + "x" + std::to_string(cols),
@@ -91,13 +91,13 @@ int main() {
   core::SessionConfig agnostic_cfg;
   agnostic_cfg.planner = core::PlannerMode::kFovAgnostic;
   agnostic_cfg.abr.sperke.regular_vra = "fixed-2";
-  const auto agnostic_fine = run_vod(bandwidth, agnostic_cfg, 150, nullptr, fine_video);
+  const auto agnostic_fine = run_vod(bandwidth, agnostic_cfg, standard_trace(150), nullptr, fine_video);
   const double a_mb = static_cast<double>(agnostic_fine.qoe.bytes_downloaded) / 1e6;
   for (double budget : {0.5, 0.35, 0.15, 0.05}) {
     core::SessionConfig guided;
     guided.abr.sperke.regular_vra = "fixed-2";
     guided.abr.sperke.oos.budget_fraction = budget;
-    const auto g = run_vod(bandwidth, guided, 150, nullptr, fine_video);
+    const auto g = run_vod(bandwidth, guided, standard_trace(150), nullptr, fine_video);
     const double g_mb = static_cast<double>(g.qoe.bytes_downloaded) / 1e6;
     oos_table.add_row({TextTable::num(budget, 2), TextTable::num(g_mb, 1),
                        TextTable::num(100.0 * (1.0 - g_mb / a_mb), 1),

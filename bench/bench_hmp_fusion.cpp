@@ -115,7 +115,7 @@ int main() {
           18'000.0, 1'500.0, 10.0, 4.0, kVideoSeconds + 600.0, 42 + seed);
       core::SessionConfig config;
       config.prefetch_horizon_chunks = setup.horizon;
-      const auto report = run_vod(bandwidth, config, 600 + seed,
+      const auto report = run_vod(bandwidth, config, standard_trace(600 + seed),
                                   setup.use_crowd ? &crowd : nullptr, video);
       utility.add(report.qoe.mean_viewport_utility);
       stall.add(report.qoe.stall_seconds);

@@ -61,7 +61,7 @@ int main() {
       config.abr.sperke.mode = mode;
       RunningStats utility, mb;
       for (std::uint64_t seed = 0; seed < 3; ++seed) {
-        const auto r = run_vod(bandwidth, config, 300 + seed, nullptr, video);
+        const auto r = run_vod(bandwidth, config, standard_trace(300 + seed), nullptr, video);
         utility.add(r.qoe.mean_viewport_utility);
         mb.add(static_cast<double>(r.qoe.bytes_downloaded) / 1e6);
       }
@@ -88,17 +88,7 @@ int main() {
       for (std::uint64_t seed = 0; seed < 3; ++seed) {
         core::SessionConfig config;
         config.abr.sperke.mode = mode.mode;
-        sim::Simulator simulator;
-        net::Link link(simulator, net::LinkConfig{.bandwidth = bandwidth,
-                                                  .rtt = sim::milliseconds(30), .faults = {}});
-        net::LinkSource source(link);
-        core::SingleLinkTransport transport(source, {.max_concurrent = 16, .recovery = {}});
-        auto video = standard_video();
-        const auto trace = standard_trace(300 + seed, user.profile);
-        core::StreamingSession session(simulator, video, transport, trace, config);
-        session.start();
-        simulator.run_until(sim::seconds(kVideoSeconds + 600.0));
-        const auto r = session.report();
+        const auto r = run_vod(bandwidth, config, standard_trace(300 + seed, user.profile));
         utility.add(r.qoe.mean_viewport_utility);
         stall.add(r.qoe.stall_seconds);
         mb.add(static_cast<double>(r.qoe.bytes_downloaded) / 1e6);

@@ -57,13 +57,13 @@ inline hmp::ViewingHeatmap standard_crowd(const media::VideoModel& video,
   return crowd;
 }
 
-// Run one VOD session over a single link and return the report. With a
-// telemetry sink the session, transport, and sim monitor all record into
-// it, so benches can print figures straight from the shared metrics
+// Run one VOD session of `trace` over a single link and return the report.
+// With a telemetry sink the session, transport, and sim monitor all record
+// into it, so benches can print figures straight from the shared metrics
 // instead of keeping parallel hand-rolled counters.
 inline core::SessionReport run_vod(const net::BandwidthTrace& bandwidth,
                                    core::SessionConfig config,
-                                   std::uint64_t trace_seed = 21,
+                                   const hmp::HeadTrace& trace,
                                    const hmp::ViewingHeatmap* crowd = nullptr,
                                    std::shared_ptr<media::VideoModel> video = nullptr,
                                    obs::Telemetry* telemetry = nullptr) {
@@ -78,7 +78,6 @@ inline core::SessionReport run_vod(const net::BandwidthTrace& bandwidth,
   core::SingleLinkTransport transport(
       source, {.max_concurrent = 16, .telemetry = telemetry, .recovery = {}});
   if (!video) video = standard_video();
-  const auto trace = standard_trace(trace_seed);
   config.telemetry = telemetry;
   core::StreamingSession session(simulator, video, transport, trace, config, crowd);
   std::optional<obs::SimMonitor> monitor;
