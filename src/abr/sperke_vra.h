@@ -54,7 +54,7 @@ struct SperkeVraConfig {
 };
 
 // The paper's own policy behind the TileAbrPolicy interface. Construct via
-// abr::make_policy outside abr/ (tools/sperke_lint.py enforces it).
+// abr::make_policy outside abr/ (tools/sperke_analyze.py enforces it).
 class SperkeVra final : public TileAbrPolicy {
  public:
   SperkeVra(std::shared_ptr<const media::VideoModel> video, SperkeVraConfig config);

@@ -18,7 +18,7 @@ namespace {
 // Ids start at 1 so 0 stays the Scratch memo's "empty entry" marker.
 // Atomic: shards construct their TileGeometry on engine worker threads.
 std::uint64_t next_instance_id() {
-  // sperke-analyze: shared(atomic relaxed fetch_add; ids only key per-thread memo entries, so allocation order never affects results)
+  // sperke: allow(shared-state) atomic relaxed fetch_add; ids only key per-thread memo entries, so allocation order never affects results
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
@@ -309,7 +309,7 @@ void TileGeometry::mark_equirect_column(const Vec3& fr, Scratch& scratch) const 
 
 std::vector<TileId> TileGeometry::visible_tiles(const Orientation& view,
                                                 const Viewport& viewport) const {
-  // sperke-analyze: shared(per-thread scratch; never escapes the call)
+  // sperke: allow(shared-state) per-thread scratch; never escapes the call
   thread_local Scratch scratch;
   std::vector<TileId> out;
   visible_tiles(view, viewport, out, scratch);
@@ -387,7 +387,7 @@ void TileGeometry::tile_distances_deg(const Orientation& view,
 }
 
 std::vector<TileId> TileGeometry::tiles_by_distance(const Orientation& view) const {
-  // sperke-analyze: shared(per-thread scratch; never escapes the call)
+  // sperke: allow(shared-state) per-thread scratch; never escapes the call
   thread_local Scratch scratch;
   std::vector<TileId> out;
   tiles_by_distance(view, out, scratch);
@@ -415,7 +415,7 @@ void TileGeometry::tiles_by_distance(const Orientation& view,
 }
 
 std::vector<int> TileGeometry::oos_rings(const std::vector<TileId>& visible) const {
-  // sperke-analyze: shared(per-thread scratch; never escapes the call)
+  // sperke: allow(shared-state) per-thread scratch; never escapes the call
   thread_local Scratch scratch;
   std::vector<int> out;
   oos_rings(visible, out, scratch);

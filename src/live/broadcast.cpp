@@ -18,15 +18,15 @@ LiveBroadcastSession::LiveBroadcastSession(Config config)
   const double down = config_.network.down_kbps > 0.0
                           ? config_.network.down_kbps
                           : config_.unconstrained_kbps;
-  // The broadcaster's physical first-mile pipes, not a chunk-fetch path —
-  // no CDN tier sits on them. sperke-lint: allow(link-construction)
+  // The broadcaster's physical first-mile pipes, not a chunk-fetch path.
+  // sperke: allow(link-construction) no CDN tier sits on the first mile
   uplink_ = std::make_unique<net::Link>(
       simulator_, net::LinkConfig{.name = "uplink",
                                   .bandwidth = net::BandwidthTrace::constant(up),
                                   .rtt = config_.link_rtt,
                                   .loss_rate = 0.0,
                                   .faults = config_.uplink_faults});
-  // sperke-lint: allow(link-construction)
+  // sperke: allow(link-construction) first-mile pipe, as above
   downlink_ = std::make_unique<net::Link>(
       simulator_, net::LinkConfig{.name = "downlink",
                                   .bandwidth = net::BandwidthTrace::constant(down),
@@ -170,8 +170,8 @@ void LiveBroadcastSession::server_push() {
   const auto bytes = static_cast<std::int64_t>(rung * 1000.0 / 8.0 *
                                                config_.platform.segment_s);
   ++push_next_;
-  // A first-mile transfer on the broadcaster's own pipe, not a chunk fetch
-  // behind the CDN seam. sperke-lint: allow(link-construction)
+  // A first-mile transfer on the broadcaster's own pipe.
+  // sperke: allow(link-construction) not a chunk fetch behind the CDN seam
   downlink_->start_transfer(bytes, [this, segment, rung](const net::TransferResult& r) {
     pushing_ = false;
     if (!r.completed()) {
@@ -240,7 +240,7 @@ void LiveBroadcastSession::viewer_maybe_request() {
   viewer_fetching_ = true;
   ++viewer_next_fetch_;
   const sim::Time started = simulator_.now();
-  // sperke-lint: allow(link-construction)
+  // sperke: allow(link-construction) viewer pull on the first-mile pipe
   downlink_->start_transfer(bytes, [this, segment, rung, bytes,
                                     started](const net::TransferResult& r) {
     viewer_fetching_ = false;

@@ -41,7 +41,7 @@ struct SloSpec {
 };
 
 // SLO and metric names share one style rule ([a-z0-9_.]+), enforced here
-// at runtime and by sperke_lint at registration sites.
+// at runtime and by sperke_analyze at registration sites.
 [[nodiscard]] bool valid_slo_name(std::string_view name);
 
 // Throws std::invalid_argument when a spec is malformed (bad name, empty

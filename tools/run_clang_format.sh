@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # format-check gate (DESIGN.md §11): clang-format in dry-run mode over the
 # C++ tree — reports diffs, changes nothing. Exits 77 ("skipped" to ctest)
-# when clang-format is not installed; tools/sperke_lint.py's format-basics
+# when clang-format is not installed; tools/sperke_analyze.py's format-basics
 # rule (tabs, trailing whitespace, CRLF, final newline) is the always-on
 # floor beneath this gate.
 set -u

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Run every correctness gate the repo has, in rough order of cost:
 #
-#   1. sperke_lint (determinism/style lint over src, tests, bench, tools)
-#      + sperke_analyze (layering DAG, shared-state audit, telemetry
-#      contract, stale suppressions — see DESIGN.md §16)
+#   1. sperke_analyze (determinism/hygiene rules, layering DAG,
+#      shared-state audit, telemetry contract, stale suppressions over
+#      src, tests, bench, examples, tools — see DESIGN.md §11)
 #      + report.py --check (the HTML report generator's self-test)
 #      + bench_compare_test.py (the perf gate's own unit tests)
 #   2. clang-format / clang-tidy (skipped cleanly when the tools are absent)
@@ -18,7 +18,7 @@
 # reported as SKIPPED and does not fail the gate. Usage:
 #
 #   tools/verify_all.sh            # everything
-#   tools/verify_all.sh --fast     # lint + format/tidy + default preset only
+#   tools/verify_all.sh --fast     # analyzer + format/tidy + default preset only
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -48,10 +48,6 @@ run_optional() {
     exit "$status"
   fi
 }
-
-step "sperke_lint"
-python3 tools/sperke_lint.py --self-test
-python3 tools/sperke_lint.py
 
 step "sperke_analyze"
 python3 tools/sperke_analyze.py --self-test
