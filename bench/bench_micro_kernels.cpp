@@ -108,13 +108,85 @@ void BM_LinkReflowUnderLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkReflowUnderLoad)->Arg(8)->Arg(64);
 
+// A live-crowd-shaped pending set: 128 viewers each keep one chunk-plan
+// timer on each of 32 upcoming one-second instants, so the far backlog is
+// 32 runs of 128 same-instant events, and every tick re-arms it 32 s out.
+// Each tick also re-arms one of 16 link wakeups a few ms past now: a cancel
+// plus an insert just past the run still being popped, in its bucket. The
+// wakeups re-arm themselves when they fire. crowd_queue_pass returns the
+// operations done (events fired + cancels).
+struct CrowdQueue {
+  static constexpr int kViewers = 128;
+  static constexpr int kInstants = 32;
+  static constexpr int kLinks = 16;
+  static constexpr std::int64_t kPeriodUs = 1'000'000;
+
+  sim::Simulator simulator;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;  // splitmix64 stream
+  std::uint64_t ops = 0;
+  sim::EventId wakeup[kLinks]{};
+  bool armed[kLinks]{};
+
+  std::uint64_t next() {
+    std::uint64_t z = (rng += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  void tick(int viewer) {
+    ++ops;
+    simulator.schedule_after(sim::Duration{kInstants * kPeriodUs},
+                             [this, viewer] { tick(viewer); });
+    arm(viewer % kLinks,
+        sim::Duration{1 + static_cast<std::int64_t>(next() % 2000)});
+  }
+  void arm(int link, sim::Duration delay) {
+    if (armed[link]) {
+      simulator.cancel(wakeup[link]);
+      ++ops;
+    }
+    wakeup[link] = simulator.schedule_after(delay, [this, link] { wake(link); });
+    armed[link] = true;
+  }
+  void wake(int link) {
+    ++ops;
+    armed[link] = false;
+    arm(link, sim::Duration{1 + static_cast<std::int64_t>(next() % 30'000)});
+  }
+};
+
+std::uint64_t crowd_queue_pass(std::uint64_t target_ops) {
+  CrowdQueue crowd;
+  for (int k = 1; k <= CrowdQueue::kInstants; ++k) {
+    for (int v = 0; v < CrowdQueue::kViewers; ++v) {
+      crowd.simulator.schedule_at(sim::Time{k * CrowdQueue::kPeriodUs},
+                                  [&crowd, v] { crowd.tick(v); });
+    }
+  }
+  while (crowd.ops < target_ops) {
+    crowd.simulator.run_until(crowd.simulator.now() +
+                              sim::Duration{CrowdQueue::kPeriodUs});
+  }
+  return crowd.ops;
+}
+
 void BM_SimulatorEventQueue(benchmark::State& state) {
   // Calendar-queue throughput: a schedule/cancel/pop mix over 1e6 events.
   // Arg 0 selects the timestamp distribution: 0 = uniform over a wide
   // horizon (events spread across many buckets), 1 = bursty (batches
   // land on shared instants, stressing the per-bucket FIFO chains and the
   // width heuristic). Roughly one in eight events is cancelled instead of
-  // fired, exercising the O(bucket) cancel path.
+  // fired, exercising the cancel path. 2 = crowd-shaped (crowd_queue_pass):
+  // inserts and cancels just past a long same-instant run, over 1e6 ops.
+  if (state.range(0) == 2) {
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+      ops = crowd_queue_pass(1'000'000);
+      benchmark::DoNotOptimize(ops);
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
+    return;
+  }
   const bool bursty = state.range(0) != 0;
   constexpr int kEvents = 1'000'000;
   constexpr int kWindow = 4096;  // live events the driver keeps in flight
@@ -161,7 +233,7 @@ void BM_SimulatorEventQueue(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kEvents);
 }
-BENCHMARK(BM_SimulatorEventQueue)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimulatorEventQueue)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_MetricsUpdate(benchmark::State& state) {
   // Cost of one counter bump + one histogram observation through stable

@@ -86,8 +86,22 @@ double Link::fault_capacity_factor_at(sim::Time t) const {
   return factor;
 }
 
+std::size_t Link::trace_segment_now() const {
+  // The simulator clock never runs backwards, so the segment holding now()
+  // only moves forward: over a link's life the cursor walks each segment
+  // once instead of binary-searching the trace on every lookup.
+  const auto& segments = config_.bandwidth.segments();
+  const sim::Time now = simulator_.now();
+  while (trace_segment_ + 1 < segments.size() &&
+         segments[trace_segment_ + 1].first <= now) {
+    ++trace_segment_;
+  }
+  return trace_segment_;
+}
+
 double Link::capacity_kbps_now() const {
-  const double base = config_.bandwidth.kbps_at(simulator_.now());
+  // Same value as config_.bandwidth.kbps_at(now()).
+  const double base = config_.bandwidth.segments()[trace_segment_now()].second;
   if (!has_faults_) return base;
   return base * fault_capacity_factor_at(simulator_.now());
 }
@@ -264,40 +278,41 @@ void Link::reflow() {
 void Link::recompute_rates() {
   // Weighted water-filling: capacity splits proportionally to transfer
   // weights, each transfer individually Mathis-capped; capacity a capped
-  // transfer cannot use redistributes among the rest.
+  // transfer cannot use redistributes among the rest in a further round.
+  // Each round sums the uncapped weights in id order and hands every
+  // uncapped transfer remaining * weight / total; the first round in which
+  // no share reaches the cap ends the filling, and its shares are the
+  // rates. A capped transfer's rate is exactly cap_bps and an uncapped
+  // share is strictly below it, so the rate itself marks who is capped.
   const double capacity_bps = capacity_kbps_now() * 1000.0;
   rates_capacity_bps_ = capacity_bps;
   const double cap_bps = mathis_cap_kbps() * 1000.0;
-  auto& unallocated = waterfill_scratch_;
-  unallocated.clear();
-  for (auto& [id, t] : active_) {
-    t->rate_bps = 0.0;
-    unallocated.push_back(t);
-  }
+  for (auto& [id, t] : active_) t->rate_bps = 0.0;
   double remaining_capacity = capacity_bps;
   bool someone_capped = true;
-  while (!unallocated.empty() && someone_capped && remaining_capacity > 0.0) {
+  while (someone_capped && remaining_capacity > 0.0) {
     someone_capped = false;
     double total_weight = 0.0;
-    for (Transfer* t : unallocated) total_weight += t->weight;
-    for (auto it = unallocated.begin(); it != unallocated.end();) {
-      const double share =
-          remaining_capacity * (*it)->weight / total_weight;
+    for (const auto& [id, t] : active_) {
+      if (t->rate_bps < cap_bps) total_weight += t->weight;
+    }
+    if (total_weight == 0.0) break;  // every transfer is capped
+    for (auto& [id, t] : active_) {
+      if (t->rate_bps >= cap_bps) continue;
+      const double share = remaining_capacity * t->weight / total_weight;
       if (share >= cap_bps) {
-        (*it)->rate_bps = cap_bps;
+        t->rate_bps = cap_bps;
         remaining_capacity -= cap_bps;
-        it = unallocated.erase(it);
         someone_capped = true;
       } else {
-        ++it;
+        t->rate_bps = share;
       }
     }
   }
-  if (!unallocated.empty() && remaining_capacity > 0.0) {
-    double total_weight = 0.0;
-    for (Transfer* t : unallocated) total_weight += t->weight;
-    for (Transfer* t : unallocated) {
-      t->rate_bps = remaining_capacity * t->weight / total_weight;
+  if (remaining_capacity <= 0.0) {
+    // The caps used up the link: the uncapped get nothing.
+    for (auto& [id, t] : active_) {
+      if (t->rate_bps < cap_bps) t->rate_bps = 0.0;
     }
   }
   if constexpr (SPERKE_DCHECK_IS_ON) {
@@ -334,8 +349,10 @@ void Link::arm_wakeup() {
     if (wait <= sim::Duration{0}) wait = sim::Duration{1};
     next = std::min(next, simulator_.now() + wait);
   }
-  if (const auto change = config_.bandwidth.next_change_after(simulator_.now())) {
-    next = std::min(next, *change);
+  // Next bandwidth-trace step, as config_.bandwidth.next_change_after(now()).
+  const auto& segments = config_.bandwidth.segments();
+  if (const std::size_t seg = trace_segment_now(); seg + 1 < segments.size()) {
+    next = std::min(next, segments[seg + 1].first);
   }
   if (wakeup_armed_) {
     simulator_.cancel(wakeup_);

@@ -14,6 +14,7 @@
 // reports how it ended through a typed TransferResult.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -152,6 +153,8 @@ class Link {
   void on_outage_begin();
   // Any fault-window boundary: settle progress and recompute rates.
   void on_fault_boundary();
+  // Index of the bandwidth-trace segment in force at now().
+  [[nodiscard]] std::size_t trace_segment_now() const;
   // Fault-window lookups at an absolute time.
   [[nodiscard]] bool in_outage_at(sim::Time t) const;
   [[nodiscard]] double fault_capacity_factor_at(sim::Time t) const;
@@ -169,10 +172,12 @@ class Link {
   // bit-exact determinism. Map nodes are pointer-stable, so the raw
   // pointers survive unrelated inserts/erases.
   std::vector<std::pair<TransferId, Transfer*>> active_;
-  std::vector<Transfer*> waterfill_scratch_;  // reused by recompute_rates()
   std::vector<Completion> completed_scratch_;
   TransferId next_id_ = 1;
   sim::Time last_update_ = sim::kTimeZero;
+  // Bandwidth-trace segment of the last lookup; advanced by
+  // trace_segment_now() as the clock moves (mutable: a lookup cache).
+  mutable std::size_t trace_segment_ = 0;
   sim::EventId wakeup_{};
   bool wakeup_armed_ = false;
   // Link capacity observed by the last recompute_rates(); lets on_wakeup()

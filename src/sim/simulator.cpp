@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
@@ -50,24 +51,41 @@ void Simulator::insert(Node* node) {
     cursor_upper_ = (node->at.count() / width_ + 1) * width_;
   }
   const std::size_t b = bucket_of(node->at);
-  Node* tail = tails_[b];
-  if (tail == nullptr) {
-    buckets_[b] = tails_[b] = node;
-    node->next = nullptr;
-    return;
-  }
   // Steady state appends: seq grows monotonically and event times trend
   // forward, so the new node usually belongs after the current tail.
-  if (precedes(*tail, *node)) {
-    tail->next = node;
-    node->next = nullptr;
+  Node* tail = tails_[b];
+  if (tail == nullptr || tail->at <= node->at) {
+    if (tail == nullptr) {
+      buckets_[b] = node;
+    } else {
+      tail->next = node;
+    }
     tails_[b] = node;
+    node->next = nullptr;
+    join_run(node, tail);
     return;
   }
+  // Walk run by run: a run's first node leads straight to its last, so a
+  // same-instant burst costs one step however long it is.
+  Node* last = nullptr;  // last node of the run before `slot`
   Node** slot = &buckets_[b];
-  while (*slot != nullptr && precedes(**slot, *node)) slot = &(*slot)->next;
+  while ((*slot)->at <= node->at) {
+    last = (*slot)->run_end;
+    slot = &last->next;
+  }
   node->next = *slot;
   *slot = node;
+  join_run(node, last);
+}
+
+void Simulator::join_run(Node* node, Node* last) {
+  if (last != nullptr && last->at == node->at) {
+    Node* first = last->run_end;
+    first->run_end = node;
+    node->run_end = first;
+  } else {
+    node->run_end = node;
+  }
 }
 
 std::size_t Simulator::find_min_bucket() {
@@ -108,28 +126,31 @@ std::size_t Simulator::find_min_bucket() {
 Simulator::Node* Simulator::unlink_head(std::size_t bucket) {
   Node* node = buckets_[bucket];
   buckets_[bucket] = node->next;
-  if (node->next == nullptr) tails_[bucket] = nullptr;
+  if (node->next == nullptr) {
+    tails_[bucket] = nullptr;
+  } else if (node->run_end != node) {
+    // The run goes on: its second node becomes the first.
+    Node* last = node->run_end;
+    node->next->run_end = last;
+    last->run_end = node->next;
+  }
   --size_;
   return node;
 }
 
 void Simulator::resize(std::size_t nbuckets) {
   nbuckets = std::max(nbuckets, kMinBuckets);
-  // Collect every pending node into one chain before the arrays move.
-  Node* all = nullptr;
+  // Each bucket's head is its earliest event and its tail its latest, so
+  // the live spread comes from the ends alone.
   Time lo = Time::max();
   Time hi = Time::min();
-  for (Node*& head : buckets_) {
-    while (head != nullptr) {
-      Node* node = head;
-      head = node->next;
-      lo = std::min(lo, node->at);
-      hi = std::max(hi, node->at);
-      node->next = all;
-      all = node;
-    }
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    if (buckets_[b] == nullptr) continue;
+    lo = std::min(lo, buckets_[b]->at);
+    hi = std::max(hi, tails_[b]->at);
   }
-  buckets_.assign(nbuckets, nullptr);
+  const std::vector<Node*> old_heads =
+      std::exchange(buckets_, std::vector<Node*>(nbuckets, nullptr));
   tails_.assign(nbuckets, nullptr);
   mask_ = nbuckets - 1;
   // Aim for ~one event per occupied bucket: width ≈ spread / size. A zero
@@ -142,23 +163,37 @@ void Simulator::resize(std::size_t nbuckets) {
                             1);
   cursor_ = bucket_of(now_);
   cursor_upper_ = (now_.count() / width_ + 1) * width_;
+  // Re-insert bucket by bucket in list order. A same-instant run sits
+  // whole in one old bucket, so its members arrive in seq order and each
+  // is the largest seq of its instant so far, as insert() requires.
   std::size_t redistributed = 0;
-  while (all != nullptr) {
-    Node* node = all;
-    all = node->next;
-    insert(node);
-    ++redistributed;
+  for (Node* node : old_heads) {
+    while (node != nullptr) {
+      Node* next = node->next;
+      insert(node);
+      node = next;
+      ++redistributed;
+    }
   }
   SPERKE_CHECK(redistributed == size_,
                "Simulator: resize lost events: ", redistributed, " of ", size_);
 #if SPERKE_DCHECK_IS_ON
   // pending_events() must equal the nodes actually reachable from the new
   // bucket array — a miscount here means a future pop fires the wrong event
-  // or a cancel silently misses.
+  // or a cancel silently misses. Every run's ends must point at each other,
+  // or an insert or cancel would step past live events.
   std::size_t reachable = 0;
   for (const Node* head : buckets_) {
     for (const Node* node = head; node != nullptr; node = node->next) {
       ++reachable;
+      const Node* last = node->run_end;
+      SPERKE_DCHECK(last->run_end == node && last->at == node->at &&
+                        (last->next == nullptr || last->next->at > node->at),
+                    "Simulator: resize left a broken same-instant run");
+      while (node != last && node->next != nullptr) {
+        node = node->next;
+        ++reachable;
+      }
     }
   }
   SPERKE_DCHECK(reachable == size_,
@@ -195,27 +230,42 @@ EventId Simulator::schedule_after(Duration delay, EventFn fn) {
 bool Simulator::cancel(EventId id) {
   if (size_ == 0) return false;
   const std::size_t b = bucket_of(id.at);
+  // Step run by run to the run at id.at; the sorted list lets the walk stop
+  // as soon as it is past that instant.
   Node* prev = nullptr;
-  for (Node* node = buckets_[b]; node != nullptr;
-       prev = node, node = node->next) {
-    if (node->at == id.at && node->seq == id.seq) {
-      if (prev == nullptr) {
-        buckets_[b] = node->next;
-      } else {
-        prev->next = node->next;
-      }
-      if (tails_[b] == node) tails_[b] = prev;
-      release_node(node);
-      --size_;
-      maybe_shrink();
-      return true;
-    }
-    // Sorted list: once past (at, seq) the id cannot appear further on.
-    if (node->at > id.at || (node->at == id.at && node->seq > id.seq)) {
-      return false;
+  Node* first = buckets_[b];
+  while (first != nullptr && first->at < id.at) {
+    prev = first->run_end;
+    first = prev->next;
+  }
+  if (first == nullptr || first->at != id.at) return false;
+  Node* last = first->run_end;
+  if (id.seq < first->seq || id.seq > last->seq) return false;
+  Node* node = first;
+  while (node->seq < id.seq) {
+    prev = node;
+    node = node->next;
+  }
+  if (node->seq != id.seq) return false;
+  if (prev == nullptr) {
+    buckets_[b] = node->next;
+  } else {
+    prev->next = node->next;
+  }
+  if (tails_[b] == node) tails_[b] = prev;
+  if (first != last) {
+    if (node == first) {
+      node->next->run_end = last;
+      last->run_end = node->next;
+    } else if (node == last) {
+      first->run_end = prev;
+      prev->run_end = first;
     }
   }
-  return false;
+  release_node(node);
+  --size_;
+  maybe_shrink();
+  return true;
 }
 
 void Simulator::run_until(Time deadline) {

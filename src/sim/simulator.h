@@ -9,12 +9,16 @@
 // array indexed by (time / width) & mask, each bucket a (time, seq)-sorted
 // intrusive list of slab-allocated nodes. schedule and pop are O(1)
 // amortized — the queue resizes to keep roughly one event per bucket and
-// recomputes the bucket width from the live event spread — and cancel is
-// O(bucket occupancy): it hashes straight to the event's bucket and walks
-// only that list. The pop rule is the exact (time, seq) minimum, so firing
-// order is byte-identical to the former std::map implementation, including
-// FIFO ties. Event closures live in EventFn inline storage inside the
-// nodes, so steady-state scheduling performs no heap allocation.
+// recomputes the bucket width from the live event spread. A bucket's list
+// is a chain of same-instant runs: each run's first node points at its
+// last and the last back at the first, so insert and cancel step over a
+// whole run at once. An insert costs O(runs ahead of it in its bucket) —
+// a new node always carries the largest seq, so it joins a matching run at
+// its end — and cancel costs the same plus a walk inside its own run. The
+// pop rule is the exact (time, seq) minimum, so firing order is
+// byte-identical to the former std::map implementation, including FIFO
+// ties. Event closures live in EventFn inline storage inside the nodes, so
+// steady-state scheduling performs no heap allocation.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +55,9 @@ class Simulator {
   EventId schedule_after(Duration delay, EventFn fn);
 
   // Cancel a pending event. Returns false if it already fired or was
-  // cancelled before. Cost: O(occupancy of the event's bucket) — the id
-  // addresses the bucket directly and the sorted list walk stops early.
+  // cancelled before. Cost: O(same-instant runs ahead of the event in its
+  // bucket + its position in its own run) — the id addresses the bucket
+  // directly and the sorted list walk stops early.
   bool cancel(EventId id);
 
   // Run events until the queue empties or `deadline` passes. The clock ends
@@ -74,6 +79,10 @@ class Simulator {
     std::uint64_t seq = 0;
     EventFn fn;
     Node* next = nullptr;
+    // Same-instant run link: the run's first node points at its last and
+    // the last at the first (a lone node at itself). Stale on the nodes in
+    // between, which nothing reads.
+    Node* run_end = nullptr;
   };
 
   // Strict (time, seq) order — the pop rule and the within-bucket sort.
@@ -87,12 +96,18 @@ class Simulator {
 
   Node* alloc_node();
   void release_node(Node* node);
+  // Link `node` into its bucket. `node` must carry the largest seq of its
+  // instant, so it always lands at the end of a matching run.
   void insert(Node* node);
+  // Make `node` a run of its own, or the new end of the run ending at
+  // `last` (its predecessor in the bucket, or null) when their times match.
+  static void join_run(Node* node, Node* last);
   // Locate (without unlinking) the global (time, seq) minimum and advance
   // the calendar cursor to its slot. Requires size_ > 0. Returns the bucket
   // index; the minimum is that bucket's head.
   std::size_t find_min_bucket();
-  // Unlink and return the head of `bucket`, maintaining the tail pointer.
+  // Unlink and return the head of `bucket`, maintaining the tail pointer
+  // and the run ends.
   Node* unlink_head(std::size_t bucket);
   // Rebuild with `nbuckets` buckets (clamped to a power-of-two floor) and a
   // bucket width recomputed from the live event spread.

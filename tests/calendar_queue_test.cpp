@@ -3,13 +3,16 @@
 // a reference implementation that keeps the former std::map<EventId, fn>
 // queue — same firing order (exact (time, seq) minimum, FIFO ties), same
 // events_executed, same clock — plus directed edge cases for bucket-array
-// resize, epoch rollover (events far beyond one calendar year), and
-// scheduling behind the calendar cursor.
+// resize, epoch rollover (events far beyond one calendar year), scheduling
+// behind the calendar cursor, and the same-instant runs that insert and
+// cancel step over (bursts, inserts just past a run, cancels of a run's
+// first/middle/last member, stale and forged ids).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <random>
 #include <utility>
 #include <vector>
@@ -60,6 +63,23 @@ class ReferenceSimulator {
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
+  // Test-side views of the pending set (not part of the former API): the
+  // first pending id at or after `t`, and every pending id at instant `at`
+  // in firing order — the same-instant run the calendar queue links up.
+  [[nodiscard]] std::optional<EventId> pending_at_or_after(Time t) const {
+    const auto it = queue_.lower_bound(EventId{t, 0});
+    if (it == queue_.end()) return std::nullopt;
+    return it->first;
+  }
+  [[nodiscard]] std::vector<EventId> run_at(Time at) const {
+    std::vector<EventId> run;
+    for (auto it = queue_.lower_bound(EventId{at, 0});
+         it != queue_.end() && it->first.at == at; ++it) {
+      run.push_back(it->first);
+    }
+    return run;
+  }
+
  private:
   Time now_ = kTimeZero;
   std::uint64_t next_seq_ = 0;
@@ -77,6 +97,7 @@ struct Harness {
   std::vector<EventId> real_live;
   std::vector<EventId> ref_live;
   int next_tag = 0;
+  bool reentrant = false;
 
   void schedule(Time at) {
     const int tag = next_tag++;
@@ -84,6 +105,42 @@ struct Harness {
         real.schedule_at(at, [this, tag] { real_log.emplace_back(real.now(), tag); }));
     ref_live.push_back(
         ref.schedule_at(at, [this, tag] { ref_log.emplace_back(ref.now(), tag); }));
+  }
+
+  // Schedule on both sides and return the id, which the two agree on: both
+  // clamp to now() and number events from 0 in scheduling order. With
+  // `reentrant` set, every fourth event schedules a follow-up as it fires,
+  // at its own instant or one tick later, so inserts meet a run that is
+  // part-way popped.
+  EventId schedule_id(Time at) {
+    const int tag = next_tag++;
+    const EventId id = real.schedule_at(at, [this, tag] {
+      real_log.emplace_back(real.now(), tag);
+      if (reentrant && tag % 4 == 0) {
+        real.schedule_at(real.now() + follow_up_delay(tag),
+                         [this, tag] { real_log.emplace_back(real.now(), ~tag); });
+      }
+    });
+    const EventId ref_id = ref.schedule_at(at, [this, tag] {
+      ref_log.emplace_back(ref.now(), tag);
+      if (reentrant && tag % 4 == 0) {
+        ref.schedule_at(ref.now() + follow_up_delay(tag),
+                        [this, tag] { ref_log.emplace_back(ref.now(), ~tag); });
+      }
+    });
+    EXPECT_EQ(id, ref_id);
+    return id;
+  }
+
+  static Duration follow_up_delay(int tag) { return Duration{tag % 3 == 0 ? 0 : 1}; }
+
+  // Cancel the same id on both sides; live, stale or forged, they must
+  // agree on whether it was pending.
+  bool cancel_id(EventId id) {
+    const bool cancelled = real.cancel(id);
+    EXPECT_EQ(cancelled, ref.cancel(id)) << "at=" << id.at.count() << " seq=" << id.seq;
+    check("cancel");
+    return cancelled;
   }
 
   void cancel_nth(std::size_t n) {
@@ -113,6 +170,92 @@ struct Harness {
     ASSERT_EQ(real.events_executed(), ref.events_executed()) << where;
   }
 };
+
+TEST(CalendarQueueProperty, BurstHeavyInterleavingsMatchMapReference) {
+  // Crowd-shaped traffic: runs of 1–200 events at shared instants, inserts
+  // just past a run (same bucket at any width above a few ticks), cancels
+  // of a run's first, middle and last member, stale and forged ids, and
+  // bucket-array resizes (grow and shrink) while runs are pending, and
+  // follow-ups scheduled at or just past a run while it is being popped.
+  for (std::uint32_t seed = 0; seed < 12; ++seed) {
+    std::mt19937 rng(seed);
+    Harness h;
+    h.reentrant = true;
+    std::vector<EventId> issued;  // every id handed out, fired or not
+    std::uniform_int_distribution<int> op(0, 11);
+    std::uniform_int_distribution<std::int64_t> dt(0, 400'000);
+    std::uniform_int_distribution<int> run_len(1, 200);
+    std::uniform_int_distribution<std::int64_t> tick(1, 3);
+    // A pending instant near a random point ahead of the clock, if any.
+    const auto pending_instant = [&]() -> std::optional<Time> {
+      const auto id = h.ref.pending_at_or_after(h.real.now() + Duration{dt(rng)});
+      if (id) return id->at;
+      const auto any = h.ref.pending_at_or_after(h.real.now());
+      return any ? std::optional<Time>(any->at) : std::nullopt;
+    };
+    for (int step = 0; step < 1500; ++step) {
+      switch (op(rng)) {
+        case 0:
+        case 1: {  // a burst at one fresh instant
+          const Time at = h.real.now() + Duration{dt(rng)};
+          for (int n = run_len(rng); n > 0; --n) issued.push_back(h.schedule_id(at));
+          break;
+        }
+        case 2: {  // extend a pending run at its end
+          if (const auto at = pending_instant()) issued.push_back(h.schedule_id(*at));
+          break;
+        }
+        case 3:
+        case 4: {  // insert just after (or before) a pending run
+          if (const auto at = pending_instant()) {
+            const Duration off{op(rng) % 2 == 0 ? tick(rng) : -tick(rng)};
+            issued.push_back(h.schedule_id(*at + off));
+          }
+          break;
+        }
+        case 5:
+        case 6: {  // cancel the first, a middle or the last member of a run
+          if (const auto at = pending_instant()) {
+            const std::vector<EventId> run = h.ref.run_at(*at);
+            const std::size_t pick[] = {0, run.size() / 2, run.size() - 1};
+            h.cancel_id(run[pick[rng() % 3]]);
+          }
+          break;
+        }
+        case 7: {  // a stale id: fired, cancelled, or still pending
+          if (!issued.empty()) h.cancel_id(issued[rng() % issued.size()]);
+          break;
+        }
+        case 8: {  // a forged id: a real seq at a nearby wrong time, or a
+                   // real instant with a nearby or never-issued seq
+          if (!issued.empty()) {
+            const EventId real_id = issued[rng() % issued.size()];
+            const EventId forged[] = {
+                {real_id.at + Duration{tick(rng)}, real_id.seq},
+                {real_id.at - Duration{tick(rng)}, real_id.seq},
+                {real_id.at, real_id.seq + static_cast<std::uint64_t>(tick(rng))},
+                {real_id.at, real_id.seq + 1'000'000}};
+            h.cancel_id(forged[rng() % 4]);
+          }
+          break;
+        }
+        case 9: {  // far-future backlog, widening the buckets at resize
+          issued.push_back(h.schedule_id(h.real.now() + Duration{dt(rng) * 512}));
+          break;
+        }
+        case 10:  // advance a little: fires some runs whole, shrinks
+          h.run_until(h.real.now() + Duration{dt(rng) / 8});
+          break;
+        default:  // advance a lot
+          h.run_until(h.real.now() + Duration{dt(rng)});
+          break;
+      }
+    }
+    h.run();
+    h.check("final drain");
+    ASSERT_EQ(h.real.pending_events(), 0u);
+  }
+}
 
 TEST(CalendarQueueProperty, RandomInterleavingsMatchMapReference) {
   for (std::uint32_t seed = 0; seed < 20; ++seed) {
@@ -281,6 +424,103 @@ TEST(CalendarQueue, CancelIsExactOnTimeSeqPairs) {
   s.run();
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(s.cancel(b));  // already fired
+}
+
+// Directed same-instant run cases. A spread-out backlog keeps the bucket
+// width far above one tick, so the run and its one-tick neighbours share a
+// bucket and the inserts and cancels below have to step over the run.
+class SameInstantRun : public ::testing::Test {
+ protected:
+  static constexpr Time kAt = Time{5'000'000};
+
+  void SetUp() override {
+    for (int i = 1; i <= 40; ++i) {
+      h.schedule_id(Time{i * 1'000'000 + 500'000});
+    }
+  }
+
+  std::vector<EventId> burst(Time at, int n) {
+    std::vector<EventId> ids;
+    for (int i = 0; i < n; ++i) ids.push_back(h.schedule_id(at));
+    return ids;
+  }
+
+  Harness h;
+};
+
+TEST_F(SameInstantRun, InsertJustAfterARunInItsBucket) {
+  // Each insert below lands beside a 128-event run whose bucket tail is
+  // already later, so it has to step over the run, not append.
+  burst(kAt, 128);
+  h.schedule_id(kAt + Duration{1});
+  h.schedule_id(kAt - Duration{1});
+  h.schedule_id(kAt);  // joins the run: after it, before kAt + 1
+  h.schedule_id(kAt + Duration{1});
+  h.run();
+}
+
+TEST_F(SameInstantRun, CancelFirstMiddleAndLastMember) {
+  const std::vector<EventId> run = burst(kAt, 7);
+  const EventId after = h.schedule_id(kAt + Duration{1});
+  EXPECT_TRUE(h.cancel_id(run.front()));  // the next member becomes first
+  EXPECT_TRUE(h.cancel_id(run.back()));   // its predecessor becomes last
+  EXPECT_TRUE(h.cancel_id(run[3]));       // middle: the ends stay put
+  // The shortened run must still be stepped over whole and extended at its
+  // new end, ahead of the event one tick later.
+  const EventId joined = h.schedule_id(kAt);
+  h.schedule_id(kAt + Duration{1});
+  EXPECT_TRUE(h.cancel_id(joined));  // last again, just before `after`
+  EXPECT_TRUE(h.cancel_id(run[1]));
+  EXPECT_TRUE(h.cancel_id(run[5]));
+  EXPECT_TRUE(h.cancel_id(run[2]));  // first of a two-member run
+  EXPECT_TRUE(h.cancel_id(run[4]));  // a lone member
+  h.schedule_id(kAt);  // a fresh run where the old one was
+  EXPECT_TRUE(h.cancel_id(after));
+  h.run();
+}
+
+TEST_F(SameInstantRun, StaleAndForgedIdsAreRejected) {
+  // Two runs interleaved in seq order, so each run's seq range covers seqs
+  // that live at the other instant.
+  std::vector<EventId> a;
+  std::vector<EventId> b;
+  for (int i = 0; i < 5; ++i) {
+    a.push_back(h.schedule_id(kAt));
+    b.push_back(h.schedule_id(kAt + Duration{2}));
+  }
+  EXPECT_FALSE(h.cancel_id({kAt, b[2].seq}));             // inside a's range
+  EXPECT_FALSE(h.cancel_id({kAt + Duration{1}, a[2].seq}));  // between runs
+  EXPECT_FALSE(h.cancel_id({kAt, a.front().seq - 1}));    // below the first
+  EXPECT_FALSE(h.cancel_id({kAt, b.back().seq + 1}));     // above the last
+  EXPECT_FALSE(h.cancel_id({kAt - Duration{1}, a[0].seq}));
+  EXPECT_TRUE(h.cancel_id(a[2]));
+  EXPECT_FALSE(h.cancel_id(a[2]));  // cancelled already
+  h.run_until(kAt);                 // fires run a
+  EXPECT_FALSE(h.cancel_id(a[0]));  // fired already
+  EXPECT_FALSE(h.cancel_id(a[4]));
+  EXPECT_TRUE(h.cancel_id(b[4]));
+  h.run();
+  EXPECT_FALSE(h.cancel_id(b[0]));
+}
+
+TEST_F(SameInstantRun, ResizeWhilePendingRunsKeepsFifoOrder) {
+  // Runs scheduled out of time order grow the bucket array several times;
+  // cancelling most of them shrinks it again. Each resize re-inserts runs
+  // whose members were scheduled far apart in seq. Popping the survivors
+  // schedules follow-ups into the runs as they drain.
+  h.reentrant = true;
+  std::vector<EventId> ids;
+  for (int round = 0; round < 30; ++round) {
+    for (int k = 0; k < 12; ++k) {
+      const Time at = kAt + Duration{((k * 7) % 12) * 3};
+      ids.push_back(h.schedule_id(at));
+    }
+  }
+  EXPECT_EQ(h.real.pending_events(), 40u + 360u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i % 5 != 0) h.cancel_id(ids[i]);
+  }
+  h.run();
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -451,6 +452,95 @@ TEST_F(LinkTest, ActiveTransfersCountsWarmupSeparately) {
   EXPECT_EQ(link.active_transfers(), 0);  // still in RTT warmup
   simulator.run_until(seconds(0.2));
   EXPECT_EQ(link.active_transfers(), 1);
+}
+
+// Multi-round weighted water-fill with a closing pass, as Link computed it
+// before the filling stopped at the first round without a capped transfer:
+// every round re-sums the uncapped weights in id order; once a round caps
+// nobody, a closing pass recomputes the shares as the rates.
+std::vector<double> reference_waterfill_bps(const std::vector<double>& weights,
+                                            double capacity_bps, double cap_bps) {
+  std::vector<double> rate(weights.size(), 0.0);
+  std::vector<std::size_t> unallocated(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) unallocated[i] = i;
+  double remaining = capacity_bps;
+  bool someone_capped = true;
+  while (!unallocated.empty() && someone_capped && remaining > 0.0) {
+    someone_capped = false;
+    double total = 0.0;
+    for (const std::size_t i : unallocated) total += weights[i];
+    for (auto it = unallocated.begin(); it != unallocated.end();) {
+      if (remaining * weights[*it] / total >= cap_bps) {
+        rate[*it] = cap_bps;
+        remaining -= cap_bps;
+        it = unallocated.erase(it);
+        someone_capped = true;
+      } else {
+        ++it;
+      }
+    }
+  }
+  if (!unallocated.empty() && remaining > 0.0) {
+    double total = 0.0;
+    for (const std::size_t i : unallocated) total += weights[i];
+    for (const std::size_t i : unallocated) {
+      rate[i] = remaining * weights[i] / total;
+    }
+  }
+  return rate;
+}
+
+struct WaterfillCase {
+  double capacity_kbps;
+  double loss_rate;
+  std::vector<double> weights;
+};
+
+TEST(LinkWaterfill, OneRoundStopMatchesMultiRoundReferenceBitForBit) {
+  const WaterfillCase cases[] = {
+      // Lossless: no cap, a single round.
+      {7777.0, 0.0, {1.0, 2.5, 0.7, 3.0, 1.0, 1.3}},
+      {1.0, 0.0, {0.1, 9.9, 3.3}},
+      // Lossy (cap ~3.56 Mbps at 40 ms): the heavy weights cap over several
+      // rounds before one caps nobody.
+      {20'000.0, 0.01, {1.0, 10.0, 2.0, 7.0, 0.5, 3.0, 1.0}},
+      {9'000.0, 0.01, {3.0, 1.0, 1.0, 1.0, 2.0}},
+      // Lossy and every transfer capped: no uncapped round at all.
+      {100'000.0, 0.01, {1.0, 2.0, 4.0, 8.0}},
+  };
+  for (const WaterfillCase& c : cases) {
+    sim::Simulator simulator;
+    LinkConfig cfg;
+    cfg.bandwidth = BandwidthTrace::constant(c.capacity_kbps);
+    cfg.rtt = sim::milliseconds(40);
+    cfg.loss_rate = c.loss_rate;
+    Link link(simulator, cfg);
+    std::vector<TransferId> ids;
+    std::vector<double> weights = c.weights;
+    for (const double w : weights) {
+      ids.push_back(link.start_transfer(1'000'000'000, nullptr, w));
+    }
+    const auto expect_reference = [&](const char* when) {
+      const std::vector<double> ref =
+          reference_waterfill_bps(weights, link.capacity_kbps_now() * 1000.0,
+                                  link.mathis_cap_kbps() * 1000.0);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(link.transfer_rate_kbps(ids[i]), ref[i] / 1000.0)
+            << when << ": capacity " << c.capacity_kbps << " kbps, loss "
+            << c.loss_rate << ", transfer " << i;
+      }
+    };
+    simulator.run_until(seconds(0.04));  // every transfer is active
+    ASSERT_EQ(link.active_transfers(), static_cast<int>(ids.size()));
+    expect_reference("all active");
+    // Drop the heaviest transfer: its share refills the others.
+    const auto heaviest = static_cast<std::size_t>(
+        std::max_element(weights.begin(), weights.end()) - weights.begin());
+    ASSERT_TRUE(link.cancel(ids[heaviest]));
+    ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(heaviest));
+    weights.erase(weights.begin() + static_cast<std::ptrdiff_t>(heaviest));
+    expect_reference("after cancel");
+  }
 }
 
 TEST(ThroughputEstimator, EwmaConvergesToSteadyRate) {

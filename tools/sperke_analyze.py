@@ -13,9 +13,10 @@ finding fails the run (exit 1):
                       ``steady_clock`` inside ``src/`` (monotonic wall
                       timing is legitimate in benches, never in the
                       simulation itself — sim code uses ``sim::Time``).
-  ambient-entropy     ``std::random_device``, bare ``rand()``/``srand()``,
-                      ``std::random_shuffle``. All randomness must flow
-                      through an explicitly seeded ``sperke::Rng``.
+  ambient-entropy     ``std::random_device``, bare or ``std::``-qualified
+                      ``rand()``/``srand()``, ``std::random_shuffle``. All
+                      randomness must flow through an explicitly seeded
+                      ``sperke::Rng``.
   unordered-iteration Iteration over an ``unordered_map``/``unordered_set``
                       whose loop body feeds an output path (metrics,
                       traces, exporters, ``merge_from``, CSV/stream
@@ -152,8 +153,11 @@ WALL_CLOCK_RE = re.compile(
 # speed — but simulation code must advance sim::Time, never read a clock.
 STEADY_CLOCK_RE = re.compile(r"\bsteady_clock\b")
 
+# The lookbehind keeps members such as Foo::rand( and identifiers ending in
+# "rand" legal, so the std:: spellings need their own alternative.
 ENTROPY_RE = re.compile(
     r"std::random_device|\brandom_device\b|(?<![\w:])s?rand\s*\("
+    r"|\bstd::s?rand\s*\("
     r"|std::random_shuffle|\brandom_shuffle\b"
 )
 
@@ -1101,12 +1105,14 @@ def self_test():
             "std::time_t now = std::time(nullptr);"
             "  // sperke: allow(wall-clock) fixture seeds nothing\n")
 
-        # ambient-entropy: random_device and bare rand(); seeded Rng and
-        # identifiers merely ending in "rand" stay legal. An allow without
-        # a reason still suppresses but is reported.
+        # ambient-entropy: random_device and bare or std:: rand()/srand();
+        # seeded Rng and identifiers merely ending in "rand" stay legal. An
+        # allow without a reason still suppresses but is reported.
         put("bench/bad_entropy.cpp",
             "std::random_device rd;\n"
-            "int r = rand() % 6;\n")
+            "int r = rand() % 6;\n"
+            "int s = std::rand() % 6;\n"
+            "std::srand(42);\n")
         put("tests/ok_entropy.cpp",
             "sperke::Rng rng(seed);\n"
             "int g = operand(1);\n")
@@ -1360,6 +1366,8 @@ def self_test():
                            "src/sim/bad_clock.cpp:3:"],
             "ambient-entropy": ["bench/bad_entropy.cpp:1:",
                                 "bench/bad_entropy.cpp:2:",
+                                "bench/bad_entropy.cpp:3:",
+                                "bench/bad_entropy.cpp:4:",
                                 "tests/bad_reason.cpp:1:"],
             "unordered-iteration": ["src/obs/bad_iter.cpp:3:"],
             "catch-all": ["src/util/bad_catch.cpp:4:"],
