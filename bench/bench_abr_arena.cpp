@@ -22,7 +22,6 @@
 //   --json PATH  google-benchmark-compatible JSON for bench_compare.py
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +29,7 @@
 #include <vector>
 
 #include "abr/factory.h"
+#include "common.h"
 #include "engine/engine.h"
 #include "engine/world.h"
 #include "hmp/head_trace.h"
@@ -91,11 +91,7 @@ struct CellResult {
 CellResult run_cell(const std::string& policy, const net::BandwidthTrace& bw,
                     const hmp::UserProfile& profile) {
   engine::WorldSpec spec;
-  spec.video.duration_s = kVideoSeconds;
-  spec.video.chunk_duration_s = 1.0;
-  spec.video.tile_rows = 4;
-  spec.video.tile_cols = 6;
-  spec.video.seed = 7;
+  spec.video = bench::standard_video_config(kVideoSeconds);
 
   spec.trace_template.duration_s = kHorizonSeconds;
   spec.trace_template.sample_rate_hz = 25.0;
@@ -140,31 +136,6 @@ CellResult run_cell(const std::string& policy, const net::BandwidthTrace& bw,
   return cell;
 }
 
-struct JsonRow {
-  std::string name;
-  double value = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"context\": {\"executable\": \"bench_abr_arena\"},\n"
-      << "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                  "\"real_time\": %.6f, \"time_unit\": \"s\"}%s\n",
-                  rows[i].name.c_str(), rows[i].value,
-                  i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
-}
-
 std::string row_name(const std::string& policy, const char* bw,
                      const char* head, const char* metric) {
   return "AbrArena/" + policy + "/bw=" + bw + "/head=" + head + "/" + metric;
@@ -191,7 +162,7 @@ int main(int argc, char** argv) {
               "families, 8 sessions / 2 shards per cell\n",
               policies.size(), bw_families.size(), hd_families.size());
 
-  std::vector<JsonRow> rows;
+  std::vector<bench::JsonRow> rows;
   for (const auto& bw : bw_families) {
     for (const auto& head : hd_families) {
       // Rank the cell's policies by mean QoE score (the league table).
@@ -222,6 +193,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!json_path.empty()) write_json(json_path, rows);
+  if (!json_path.empty()) {
+    bench::write_benchmark_json(json_path, "bench_abr_arena", rows);
+  }
   return 0;
 }

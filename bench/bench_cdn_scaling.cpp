@@ -25,10 +25,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common.h"
 #include "engine/engine.h"
 #include "engine/world.h"
 #include "hmp/head_trace.h"
@@ -47,11 +47,7 @@ constexpr double kHorizonSeconds = 180.0;
 
 engine::WorldSpec edge_world(int sessions) {
   engine::WorldSpec spec;
-  spec.video.duration_s = kVideoSeconds;
-  spec.video.chunk_duration_s = 1.0;
-  spec.video.tile_rows = 4;
-  spec.video.tile_cols = 6;
-  spec.video.seed = 7;
+  spec.video = bench::standard_video_config(kVideoSeconds);
 
   spec.trace_template.duration_s = kHorizonSeconds;
   spec.trace_template.sample_rate_hz = 25.0;
@@ -111,31 +107,6 @@ CellResult run_cell(const engine::WorldSpec& spec) {
   return cell;
 }
 
-struct JsonRow {
-  std::string name;
-  double value = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"context\": {\"executable\": \"bench_cdn_scaling\"},\n"
-      << "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                  "\"real_time\": %.6f, \"time_unit\": \"s\"}%s\n",
-                  rows[i].name.c_str(), rows[i].value,
-                  i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -149,7 +120,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<JsonRow> rows;
+  std::vector<bench::JsonRow> rows;
 
   // Arm 1: population sweep behind one shared edge.
   const std::vector<int> populations = smoke ? std::vector<int>{8}
@@ -199,6 +170,8 @@ int main(int argc, char** argv) {
   rows.push_back({"CdnScaling/warm/first_minute_hit_rate",
                   warm_cell.hit_rate()});
 
-  if (!json_path.empty()) write_json(json_path, rows);
+  if (!json_path.empty()) {
+    bench::write_benchmark_json(json_path, "bench_cdn_scaling", rows);
+  }
   return 0;
 }

@@ -32,8 +32,9 @@ int main() {
       core::SessionConfig agnostic;
       agnostic.planner = core::PlannerMode::kFovAgnostic;
       agnostic.abr.sperke.regular_vra = guided.abr.sperke.regular_vra;
-      const auto g = run_vod(bandwidth, guided, standard_trace(100 + user));
-      const auto a = run_vod(bandwidth, agnostic, standard_trace(100 + user));
+      const auto trace = standard_trace_config(100 + user);
+      const auto g = run_vod(bandwidth, guided, trace);
+      const auto a = run_vod(bandwidth, agnostic, trace);
       guided_mb.add(static_cast<double>(g.qoe.bytes_downloaded) / 1e6);
       agnostic_mb.add(static_cast<double>(a.qoe.bytes_downloaded) / 1e6);
       guided_waste.add(100.0 * static_cast<double>(g.qoe.bytes_wasted) /
@@ -54,21 +55,19 @@ int main() {
   // visible tile is fetched whole), so the saving grows with finer grids —
   // the knob behind the 45% [16] vs 60-80% [37] spread in the literature.
   std::cout << "Saving vs tile granularity (quality pinned to level 2):\n";
+  const auto user_trace = standard_trace_config(150);
   TextTable grid_table({"Tile grid", "Agnostic MB", "Guided MB", "Saving %"});
   for (const auto& [rows, cols] : {std::pair{2, 4}, {4, 6}, {6, 8}, {8, 12}}) {
-    media::VideoModelConfig vcfg;
-    vcfg.duration_s = kVideoSeconds;
-    vcfg.tile_rows = rows;
-    vcfg.tile_cols = cols;
-    vcfg.seed = 7;
-    auto video = std::make_shared<media::VideoModel>(vcfg);
+    media::VideoModelConfig video = standard_video_config();
+    video.tile_rows = rows;
+    video.tile_cols = cols;
     core::SessionConfig guided;
     guided.abr.sperke.regular_vra = "fixed-2";
     core::SessionConfig agnostic;
     agnostic.planner = core::PlannerMode::kFovAgnostic;
     agnostic.abr.sperke.regular_vra = "fixed-2";
-    const auto g = run_vod(bandwidth, guided, standard_trace(150), nullptr, video);
-    const auto a = run_vod(bandwidth, agnostic, standard_trace(150), nullptr, video);
+    const auto g = run_vod(bandwidth, guided, user_trace, nullptr, video);
+    const auto a = run_vod(bandwidth, agnostic, user_trace, nullptr, video);
     const double g_mb = static_cast<double>(g.qoe.bytes_downloaded) / 1e6;
     const double a_mb = static_cast<double>(a.qoe.bytes_downloaded) / 1e6;
     grid_table.add_row({std::to_string(rows) + "x" + std::to_string(cols),
@@ -82,22 +81,20 @@ int main() {
   // 60-80% regime [37] — and it buys stall protection, not waste.
   std::cout << "Saving vs OOS protection budget (8x12 tiles, quality 2):\n";
   TextTable oos_table({"OOS budget", "Guided MB", "Saving %", "Stall s", "Urgent"});
-  media::VideoModelConfig vcfg;
-  vcfg.duration_s = kVideoSeconds;
-  vcfg.tile_rows = 8;
-  vcfg.tile_cols = 12;
-  vcfg.seed = 7;
-  auto fine_video = std::make_shared<media::VideoModel>(vcfg);
+  media::VideoModelConfig fine_video = standard_video_config();
+  fine_video.tile_rows = 8;
+  fine_video.tile_cols = 12;
   core::SessionConfig agnostic_cfg;
   agnostic_cfg.planner = core::PlannerMode::kFovAgnostic;
   agnostic_cfg.abr.sperke.regular_vra = "fixed-2";
-  const auto agnostic_fine = run_vod(bandwidth, agnostic_cfg, standard_trace(150), nullptr, fine_video);
+  const auto agnostic_fine =
+      run_vod(bandwidth, agnostic_cfg, user_trace, nullptr, fine_video);
   const double a_mb = static_cast<double>(agnostic_fine.qoe.bytes_downloaded) / 1e6;
   for (double budget : {0.5, 0.35, 0.15, 0.05}) {
     core::SessionConfig guided;
     guided.abr.sperke.regular_vra = "fixed-2";
     guided.abr.sperke.oos.budget_fraction = budget;
-    const auto g = run_vod(bandwidth, guided, standard_trace(150), nullptr, fine_video);
+    const auto g = run_vod(bandwidth, guided, user_trace, nullptr, fine_video);
     const double g_mb = static_cast<double>(g.qoe.bytes_downloaded) / 1e6;
     oos_table.add_row({TextTable::num(budget, 2), TextTable::num(g_mb, 1),
                        TextTable::num(100.0 * (1.0 - g_mb / a_mb), 1),

@@ -6,8 +6,9 @@
 // outage of D seconds plus a background per-transfer failure probability),
 // each run twice, with recovery off and on:
 //
-//   * VOD: a StreamingSession on a faulted 12 Mbps link. Headline metric:
-//     stall seconds (paper §3.1's QoE killer).
+//   * VOD: a StreamingSession on a faulted 12 Mbps link, run as a
+//     one-session engine world. Headline metric: stall seconds (paper
+//     §3.1's QoE killer).
 //   * Tiled live: a TiledLiveSession on a faulted 20 Mbps link. Live never
 //     stalls — losses surface as blank FoV tiles, so the headline metric is
 //     the mean blank-tile fraction.
@@ -17,11 +18,11 @@
 // gated by tools/bench_compare.py (a rise in stall seconds or blank
 // fraction beyond threshold = the recovery layer regressed).
 //
-// The VOD arms additionally run the observability stack (DESIGN.md §12):
-// a 0.5 s time-series sampler plus a stall-ratio SLO on the live
-// session.stalled gauge. The printed breach windows should track the
-// injected outage — the SLO breaches inside [6, 6+D] and clears once
-// recovery catches the playhead up. Telemetry only records, so the QoE
+// The VOD arms additionally run the engine's observability stack
+// (DESIGN.md §12): a 0.5 s time-series sample period plus a stall-ratio
+// SLO on the live session.stalled gauge. The printed breach windows should
+// track the injected outage — the SLO breaches inside [6, 6+D] and clears
+// once recovery catches the playhead up. Telemetry only records, so the QoE
 // numbers gated by bench/baselines/fault_recovery.json are unchanged.
 //
 // Usage: bench_fault_recovery [--smoke] [--json PATH] [--trace PATH]
@@ -35,22 +36,22 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common.h"
 #include "core/session.h"
 #include "core/transport.h"
+#include "engine/engine.h"
+#include "engine/world.h"
 #include "hmp/head_trace.h"
 #include "live/tiled_viewer.h"
 #include "net/link.h"
 #include "obs/export.h"
 #include "obs/slo.h"
 #include "obs/telemetry.h"
-#include "obs/timeseries.h"
-#include "sim/periodic.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -60,23 +61,13 @@ using namespace sperke;
 constexpr double kVodVideoSeconds = 20.0;
 constexpr double kLiveVideoSeconds = 30.0;
 
-std::shared_ptr<media::VideoModel> make_video(double duration_s) {
-  media::VideoModelConfig cfg;
-  cfg.duration_s = duration_s;
-  cfg.chunk_duration_s = 1.0;
-  cfg.tile_rows = 4;
-  cfg.tile_cols = 6;
-  cfg.seed = 7;
-  return std::make_shared<media::VideoModel>(cfg);
-}
-
-hmp::HeadTrace make_trace(std::uint64_t seed) {
+hmp::HeadTraceConfig trace_config(std::uint64_t seed) {
   hmp::HeadTraceConfig cfg;
   cfg.duration_s = 120.0;
   cfg.sample_rate_hz = 25.0;
   cfg.attractors = hmp::default_attractors(120.0, 77);
   cfg.seed = seed;
-  return hmp::generate_head_trace(cfg);
+  return cfg;
 }
 
 // One storm per sweep point: an outage of `outage_s` starting mid-stream
@@ -131,42 +122,30 @@ std::vector<BreachWindow> breach_windows(const obs::Telemetry& telemetry,
 }
 
 VodRun run_vod(double outage_s, bool recovery) {
-  sim::Simulator simulator;
-  auto telemetry = std::make_unique<obs::Telemetry>();
-  net::Link link(simulator,
-                 net::LinkConfig{.name = "dl",
-                                 .bandwidth = net::BandwidthTrace::constant(12'000.0),
-                                 .rtt = sim::milliseconds(30),
-                                 .loss_rate = 0.0,
-                                 .faults = storm(outage_s, 0.05)});
-  core::TransportOptions options;
-  options.recovery.enabled = recovery;
-  options.telemetry = telemetry.get();
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source, options);
-  core::SessionConfig config;
-  config.fetch_recovery = recovery;
-  config.telemetry = telemetry.get();
-  auto video = make_video(kVodVideoSeconds);
-  const auto trace = make_trace(33);
-  core::StreamingSession session(simulator, video, transport, trace, config);
-
-  obs::TimeSeriesStore series(sim::seconds(kSamplePeriodS));
-  obs::SloEvaluator evaluator(vod_slos(), series, *telemetry);
-  sim::PeriodicTask sampler(simulator, sim::seconds(kSamplePeriodS), [&] {
-    series.sample(telemetry->metrics());
-    evaluator.evaluate();
-  });
-
-  session.start();
+  engine::WorldSpec spec;
+  spec.video = bench::standard_video_config(kVodVideoSeconds);
+  spec.trace_template = trace_config(33);
+  spec.link = {.name = "dl",
+               .bandwidth = net::BandwidthTrace::constant(12'000.0),
+               .rtt = sim::milliseconds(30),
+               .loss_rate = 0.0,
+               .faults = {}};
+  spec.faults = storm(outage_s, 0.05);
+  spec.transport_max_concurrent = 4;  // the TransportOptions default
+  spec.transport_recovery.enabled = recovery;
+  spec.session.fetch_recovery = recovery;
   const double horizon_s = kVodVideoSeconds + 300.0;
-  simulator.run_until(sim::seconds(horizon_s));
+  spec.horizon = sim::seconds(horizon_s);
+  spec.session_telemetry = true;
+  spec.sample_period = sim::seconds(kSamplePeriodS);
+  spec.slos = vod_slos();
+  engine::EngineResult result = engine::run_world(std::move(spec));
 
   VodRun out;
-  out.report = session.report();
-  out.slos = evaluator.status();
-  out.breaches = breach_windows(*telemetry, horizon_s);
-  out.telemetry = std::move(telemetry);
+  out.report = result.reports[0];
+  out.slos = std::move(result.slos);
+  out.telemetry = std::move(result.shard_telemetry[0]);
+  out.breaches = breach_windows(*out.telemetry, horizon_s);
   return out;
 }
 
@@ -185,37 +164,13 @@ live::TiledLiveReport run_live(double outage_s, bool recovery) {
   core::SingleLinkTransport transport(source, options);
   live::TiledLiveConfig config;
   config.fetch_recovery = recovery;
-  auto video = make_video(kLiveVideoSeconds);
-  const auto trace = make_trace(5);
+  auto video = std::make_shared<media::VideoModel>(
+      bench::standard_video_config(kLiveVideoSeconds));
+  const auto trace = hmp::generate_head_trace(trace_config(5));
   live::TiledLiveSession session(simulator, video, transport, trace, config);
   session.start();
   simulator.run_until(sim::seconds(kLiveVideoSeconds + 120.0));
   return session.report();
-}
-
-struct JsonRow {
-  std::string name;
-  double value = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"context\": {\"executable\": \"bench_fault_recovery\"},\n"
-      << "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                  "\"real_time\": %.6f, \"time_unit\": \"s\"}%s\n",
-                  rows[i].name.c_str(), rows[i].value,
-                  i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
 }
 
 std::string row_name(const char* metric, double outage_s, bool recovery) {
@@ -251,7 +206,7 @@ int main(int argc, char** argv) {
   std::printf("%8s | %13s %14s | %13s %14s\n", "outage s", "off", "on", "off",
               "on");
 
-  std::vector<JsonRow> rows;
+  std::vector<bench::JsonRow> rows;
   struct SloRow {
     double outage_s = 0.0;
     std::vector<BreachWindow> off;
@@ -319,7 +274,9 @@ int main(int argc, char** argv) {
   std::printf("\nSLO rollup for the last recovery-on VOD run:\n%s",
               obs::slo_table(vod_slos(), last_on_slos).c_str());
 
-  if (!json_path.empty()) write_json(json_path, rows);
+  if (!json_path.empty()) {
+    bench::write_benchmark_json(json_path, "bench_fault_recovery", rows);
+  }
   if (!trace_path.empty() && traced != nullptr) {
     try {
       obs::dump_chrome_trace(trace_path, *traced);

@@ -115,8 +115,9 @@ int main() {
           18'000.0, 1'500.0, 10.0, 4.0, kVideoSeconds + 600.0, 42 + seed);
       core::SessionConfig config;
       config.prefetch_horizon_chunks = setup.horizon;
-      const auto report = run_vod(bandwidth, config, standard_trace(600 + seed),
-                                  setup.use_crowd ? &crowd : nullptr, video);
+      const auto report =
+          run_vod(bandwidth, config, standard_trace_config(600 + seed),
+                  setup.use_crowd ? &crowd : nullptr);
       utility.add(report.qoe.mean_viewport_utility);
       stall.add(report.qoe.stall_seconds);
       waste.add(100.0 * static_cast<double>(report.qoe.bytes_wasted) /

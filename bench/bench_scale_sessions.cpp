@@ -24,11 +24,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common.h"
 #include "engine/engine.h"
 #include "engine/world.h"
 #include "hmp/head_trace.h"
@@ -45,11 +45,7 @@ constexpr int kTracePoolSize = 32;
 
 engine::WorldSpec make_spec(int n) {
   engine::WorldSpec spec;
-  spec.video.duration_s = kVideoSeconds;
-  spec.video.chunk_duration_s = 1.0;
-  spec.video.tile_rows = 4;
-  spec.video.tile_cols = 6;
-  spec.video.seed = 7;
+  spec.video = bench::standard_video_config(kVideoSeconds);
 
   // A fixed pool of head traces reused round-robin (by global session id):
   // trace generation is itself expensive (BM_HeadTraceGeneration) and is
@@ -117,46 +113,27 @@ Row run_scale(int n, int threads) {
 
 void write_json(const std::string& path, const std::vector<Row>& rows,
                 int hw_threads, bool alias_hw_to_serial) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
   // Each row gets a machine-portable label: the hardware-concurrency run is
   // "threads=hw", absolute counts otherwise. On a single-core machine
   // (default mode) the threads=1 run *is* the hardware-concurrency run, so
   // it is emitted twice — once under each label — keeping the baseline's
   // shape identical across machines so bench_compare.py can always derive
   // the threads=1 / threads=hw speedup row.
-  struct Entry {
-    int n;
-    std::string label;
-    double wall_s;
+  std::vector<bench::JsonRow> entries;
+  const auto add = [&entries](int n, const std::string& label, double wall_s) {
+    entries.push_back(
+        {"ScaleSessions/N=" + std::to_string(n) + "/threads=" + label, wall_s});
   };
-  std::vector<Entry> entries;
   for (const Row& row : rows) {
     const bool is_hw = row.threads == hw_threads;
-    entries.push_back({row.n,
-                       is_hw && row.threads != 1 ? std::string("hw")
-                                                 : std::to_string(row.threads),
-                       row.wall_s});
+    add(row.n, is_hw && row.threads != 1 ? "hw" : std::to_string(row.threads),
+        row.wall_s);
     if (alias_hw_to_serial && row.threads == 1 && hw_threads == 1) {
-      entries.push_back({row.n, "hw", row.wall_s});
+      add(row.n, "hw", row.wall_s);
     }
   }
-  out << "{\n  \"context\": {\"executable\": \"bench_scale_sessions\", "
-      << "\"num_cpus\": " << hw_threads << "},\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"ScaleSessions/N=%d/threads=%s\", "
-                  "\"run_type\": \"iteration\", \"real_time\": %.6f, "
-                  "\"time_unit\": \"s\"}%s\n",
-                  entries[i].n, entries[i].label.c_str(), entries[i].wall_s,
-                  i + 1 < entries.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
+  bench::write_benchmark_json(path, "bench_scale_sessions", entries,
+                              "\"num_cpus\": " + std::to_string(hw_threads));
 }
 
 }  // namespace

@@ -51,17 +51,15 @@ int main() {
   TextTable overhead_table({"SVC overhead", "refetch util", "svc util",
                             "hybrid util", "refetch MB", "svc MB", "hybrid MB"});
   for (double overhead : {0.0, 0.1, 0.25}) {
-    media::VideoModelConfig vcfg;
-    vcfg.duration_s = kVideoSeconds;
-    vcfg.svc_overhead = overhead;
-    vcfg.seed = 7;
-    auto video = std::make_shared<media::VideoModel>(vcfg);
+    media::VideoModelConfig video = standard_video_config();
+    video.svc_overhead = overhead;
     auto run_mode = [&](abr::EncodingMode mode) {
       core::SessionConfig config;
       config.abr.sperke.mode = mode;
       RunningStats utility, mb;
       for (std::uint64_t seed = 0; seed < 3; ++seed) {
-        const auto r = run_vod(bandwidth, config, standard_trace(300 + seed), nullptr, video);
+        const auto r = run_vod(bandwidth, config,
+                               standard_trace_config(300 + seed), nullptr, video);
         utility.add(r.qoe.mean_viewport_utility);
         mb.add(static_cast<double>(r.qoe.bytes_downloaded) / 1e6);
       }
@@ -88,7 +86,8 @@ int main() {
       for (std::uint64_t seed = 0; seed < 3; ++seed) {
         core::SessionConfig config;
         config.abr.sperke.mode = mode.mode;
-        const auto r = run_vod(bandwidth, config, standard_trace(300 + seed, user.profile));
+        const auto r = run_vod(bandwidth, config,
+                               standard_trace_config(300 + seed, user.profile));
         utility.add(r.qoe.mean_viewport_utility);
         stall.add(r.qoe.stall_seconds);
         mb.add(static_cast<double>(r.qoe.bytes_downloaded) / 1e6);

@@ -35,7 +35,6 @@ int shard_of_group(const WorldSpec& spec, int group) {
 }
 
 net::FaultPlan faults_of_group(const WorldSpec& spec, int group) {
-  if (spec.faults_for_group) return spec.faults_for_group(group);
   net::FaultPlan plan = spec.faults;
   if (!plan.empty()) {
     // Decorrelate the per-transfer failure stream across groups while

@@ -63,15 +63,13 @@ struct WorldSpec {
   int sessions_per_link = 16;
   int transport_max_concurrent = 16;
 
-  // Fault schedule (DESIGN.md §10). When faults_for_group is set, group g's
-  // link runs the returned plan verbatim (same thread-safety rule as
-  // link_for_group). Otherwise every group runs the template `faults` plan
-  // with its seed decorrelated per group (plan.seed + g) — so a chaos world
-  // merges byte-identically at any thread count, exactly like the link
-  // topology. The template/hook overrides any plan inside `link` /
-  // link_for_group(g) only when non-empty.
+  // Fault schedule (DESIGN.md §10). Every group runs the template `faults`
+  // plan with its seed decorrelated per group (plan.seed + g) — so a chaos
+  // world merges byte-identically at any thread count, exactly like the
+  // link topology. The template overrides any plan inside `link` /
+  // link_for_group(g) only when non-empty; a per-group plan rides in
+  // link_for_group(g)'s LinkConfig::faults with the template left empty.
   net::FaultPlan faults;
-  std::function<net::FaultPlan(int group)> faults_for_group;
   // Retry/timeout/failover policy injected into every shard transport.
   core::RecoveryPolicy transport_recovery;
 
@@ -140,9 +138,9 @@ struct WorldSpec {
 [[nodiscard]] int group_of_session(const WorldSpec& spec, int session);
 [[nodiscard]] int shard_of_group(const WorldSpec& spec, int group);
 
-// The fault plan group g's link runs: faults_for_group(g) verbatim when the
-// hook is set, else the template `faults` reseeded per group (seed + g),
-// else an empty plan (the group's LinkConfig keeps whatever it carries).
+// The template `faults` plan reseeded for group g (seed + g), or an empty
+// plan when the template is empty (the group's LinkConfig keeps whatever it
+// carries).
 [[nodiscard]] net::FaultPlan faults_of_group(const WorldSpec& spec, int group);
 
 // Throws std::invalid_argument on nonsensical specs (no sessions, bad

@@ -173,13 +173,7 @@ Record span(const TraceEvent& begin, const TraceEvent& end) {
 
 }  // namespace
 
-// Both exporter entry points are pinned to 64-byte code alignment, so they
-// do not drift with the size of unrelated code linked before them. Code
-// layout alone moves edge_traced: a simulator change that left the trace
-// bytes identical took it from ~405 to ~370 sessions/s (4-core Xeon,
-// GCC 12). The pin did not win that back; building both sides with
-// -falign-functions=64 read ~405 on each (DESIGN.md §13).
-[[gnu::aligned(64)]] void write_chrome_trace(
+void write_chrome_trace(
     std::ostream& out, const std::vector<TraceEvent>& events) {
   std::vector<Record> records;
   records.reserve(events.size());
@@ -248,7 +242,7 @@ Record span(const TraceEvent& begin, const TraceEvent& end) {
   w.flush();
 }
 
-[[gnu::aligned(64)]] void write_trace_jsonl(
+void write_trace_jsonl(
     std::ostream& out, const std::vector<TraceEvent>& events) {
   BlockWriter w(out);
   for (const TraceEvent& e : events) {

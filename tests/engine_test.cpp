@@ -408,15 +408,30 @@ TEST(Engine, FaultsOfGroupReseedsTemplatePlanPerGroup) {
   EXPECT_EQ(engine::faults_of_group(spec, 0).seed, 40u);
   EXPECT_EQ(engine::faults_of_group(spec, 3).seed, 43u);
 
-  // The hook overrides the template verbatim — no reseeding.
-  spec.faults_for_group = [](int group) {
-    net::FaultPlan plan;
-    plan.outages.push_back({.start_s = 1.0, .duration_s = double(1 + group)});
-    plan.seed = 7;
-    return plan;
+  // With the template empty, a plan that link_for_group(g) carries reaches
+  // group g's link verbatim, and no other group's: only shard 2 (group 2,
+  // one group per shard) observes an outage.
+  spec = small_world(6);
+  spec.link_for_group = [&spec](int group) {
+    net::LinkConfig link = spec.link;
+    if (group == 2) {
+      link.faults.outages.push_back({.start_s = 1.0, .duration_s = 3.0});
+    }
+    return link;
   };
-  EXPECT_EQ(engine::faults_of_group(spec, 5).seed, 7u);
-  EXPECT_DOUBLE_EQ(engine::faults_of_group(spec, 2).outages.at(0).duration_s, 3.0);
+  const engine::EngineResult result = engine::run_world(spec, {.threads = 2});
+  for (int shard = 0; shard < spec.shards; ++shard) {
+    const obs::Histogram* outage =
+        result.shard_telemetry[static_cast<std::size_t>(shard)]
+            ->metrics().find_histogram("net.outage_s");
+    if (shard != 2) {
+      EXPECT_EQ(outage, nullptr) << "shard " << shard;
+      continue;
+    }
+    ASSERT_NE(outage, nullptr);
+    EXPECT_EQ(outage->count(), 1);
+    EXPECT_NEAR(outage->sum(), 3.0, 1e-9);
+  }
 }
 
 TEST(Engine, ValidateRejectsBadSpecs) {
